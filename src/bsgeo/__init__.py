@@ -6,8 +6,10 @@ computes, for arbitrary input words over {t, T, a, A}:
 * Britton reductions, t-sequences, and structural classes,
 * canonical (irreducible) forms deciding the word problem,
 * length-lexicographic normal forms and geodesic lengths of horocyclic
-  elements (linear-time greedy + dynamic program, plus a constant-memory
-  variant emitting a back-referenced matrix),
+  elements: a greedy split plus a linear-time rank DP over integer cells
+  (``slope_llnf``), checked against the quadratic whole-word reference DP
+  (``slope_dp_table``) and the paper's constant-memory variant emitting a
+  back-referenced matrix (``slope_dp_optimized``),
 * peak normal forms: for hills with any parameters, and for every element
   when p divides q,
 * a brute-force Cayley-ball oracle for validation.
@@ -41,6 +43,7 @@ from .divides import (
 from .errors import (
     BSError,
     ExpansionLimit,
+    InternalError,
     LimitExceeded,
     NotAHill,
     NotAValley,

@@ -342,6 +342,11 @@ def main(argv: list[str] | None = None) -> int:
     except BSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        # parse_word spells coefficients out in letters; one beyond sys.maxsize
+        # cannot even be allocated
+        print(f"error: coefficient too large to expand ({exc})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -53,6 +53,7 @@ from functools import cmp_to_key, lru_cache
 from . import stats
 from .britton import britton_reduce, decompose, is_britton_reduced
 from .errors import (
+    InternalError,
     NotAValley,
     NotDifficult,
     RequiresDivides,
@@ -210,7 +211,8 @@ def valley_parse(v: AltWord) -> ValleyTree:
             sib_stack[-1].append(len(nodes) - 1)
             pending = nxt
     top = sib_stack.pop()
-    assert not sib_stack and not alpha_stack, "unbalanced valley"
+    if sib_stack or alpha_stack:
+        raise InternalError("unbalanced valley")
     if pending != 0 or not top:
         nodes.append(ValleyNode("leaf", value=pending))
         top.append(len(nodes) - 1)
@@ -559,8 +561,8 @@ def difficult_pnf(u: AltWord, params: GroupParams) -> BrittonPnf:
     m = ell - prof[-1]
     vw = AltWord((0,) * ell + w.alpha + (0,) * m, "T" * ell + w.theta + "t" * m)
     P = valley_pnf(vw, params).word
-    assert P.theta == vw.theta
-    assert all(P.alpha[i] == 0 for i in range(ell)), "missing T^ell prefix"
+    if P.theta != vw.theta or any(P.alpha[:ell]):
+        raise InternalError("valley pnf lost the T^ell prefix")
     if m == 0:
         return make_britton_pnf(AltWord(P.alpha[ell:], P.theta[ell:]), params)
     profP = height_profile(P)
@@ -569,8 +571,8 @@ def difficult_pnf(u: AltWord, params: GroupParams) -> BrittonPnf:
     tail = AltWord(P.alpha[jstar:], P.theta[jstar:])
     Q = involute(valley_pnf(involute(tail), params).word)
     KQ = len(Q.theta)
-    assert Q.theta[KQ - m :] == "t" * m
-    assert all(Q.alpha[KQ - m + 1 + i] == 0 for i in range(m)), "missing t^m suffix"
+    if Q.theta[KQ - m :] != "t" * m or any(Q.alpha[KQ - m + 1 :]):
+        raise InternalError("valley pnf lost the t^m suffix")
     word = AltWord(
         P.alpha[ell:jstar] + Q.alpha[: KQ - m + 1],
         P.theta[ell:jstar] + Q.theta[: KQ - m],

@@ -56,3 +56,7 @@ class LimitExceeded(BSError):
 
 class OutOfBall(BSError):
     """The element is not contained in the enumerated ball."""
+
+
+class InternalError(BSError):
+    """An internal invariant failed: a bug in this package, not in the input."""

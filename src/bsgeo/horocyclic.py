@@ -19,28 +19,51 @@ positive integer with r >= p*(r+q-1)/q + q - 1; the recurrence
     llnf(u(i+1, rho)) = min { llnf(u(i, mu*p + beta_i)) T gamma :
                               rho = mu*q + gamma, |gamma| < q }
 
-bottoms out in a precomputed table of llnf(rho) for |rho| <= r + q.  The
-baseline implementation stores whole words per column.  The optimized
-variant keeps only suffixes (all hidden prefixes share a common length) plus
-the lexicographic order of the hidden prefixes, and emits one matrix column
-per round: the freshly cut fragment and a back-reference to the predecessor
-row.  Following the back-references from any cell reconstructs the full
-normal form; both variants agree letter for letter.
+bottoms out in a precomputed table of llnf(rho) for |rho| <= r + q.
+
+Three implementations of this DP agree letter for letter:
+
+* ``slope_llnf``, the one production uses (``int_llnf``, ``int_norm``, every
+  pnf): a rank DP whose cells are integers.  Each cell holds the length of
+  its word, the word's lexicographic rank within the column, and a
+  back-pointer made of the predecessor's rank and the trailing gamma; the
+  word is spelled out once, at the end.  Ranks suffice because the words
+  are prefix-free as token sequences.  Cut a word before every t and T:
+  each piece, a token, is a letter plus an a-run, and the lexicographic
+  order of words with t < T < a < A is the lexicographic order of their
+  token sequences, where runs compare as 0 < 1 < ... < q-1 < -1 < -2 < ...
+  The integer table holds staircase words t^j a0 T a1 ... T aj, of which
+  none is a token prefix of another, and each column appends exactly one
+  token T a^gamma, which keeps that true.  So two candidates of equal
+  length compare as (rank of the predecessor, run of gamma), and the next
+  column's ranks come from sorting 2r+1 such pairs.  Each column costs
+  O(r log r) small-integer operations, so llnf(a^alpha) takes time linear
+  in the bit length of alpha after the greedy phase.
+* ``slope_dp_table``, the quadratic reference: every column stores and
+  compares whole words.
+* ``slope_dp_optimized``, the paper's constant-memory matrix variant: it
+  keeps only suffixes (all hidden prefixes share a common length) plus the
+  lexicographic order of the hidden prefixes, and emits one matrix column
+  per round: the freshly cut fragment and a back-reference to the
+  predecessor row.  ``reconstruct_from_matrix`` follows the
+  back-references from any cell to the full normal form.
 
 Norms: ||alpha|| = len(int_llnf(alpha)) and ||u|| = k + sum ||alpha_i||.
 
-The per-parameter tables are built once and cached; all functions are pure
-after that, so concurrent use is safe.
+The per-parameter tables are cached: ``base_table``, and the rank DP's
+column 0 and per-coefficient candidate lists, which are built on first use.
+All functions are pure after that, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from . import stats
 from .britton import britton_reduce
-from .errors import NotHorocyclic, PreconditionError
-from .words import AltWord, GroupParams, ll_key, to_alt
+from .errors import InternalError, NotHorocyclic, PreconditionError
+from .words import _LL_RANK, AltWord, GroupParams, _run, ll_key, to_alt
 
 __all__ = [
     "r_llnf",
@@ -72,10 +95,6 @@ def residues_mod(x: int, m: int) -> tuple[int, ...]:
     """All gamma with |gamma| < m and gamma == x (mod m): one or two values."""
     g = x % m
     return (g, g - m) if g else (0,)
-
-
-def _run(n: int) -> str:
-    return "a" * n if n >= 0 else "A" * (-n)
 
 
 @lru_cache(maxsize=None)
@@ -205,11 +224,113 @@ def slope_dp_table(s: AltWord, params: GroupParams) -> list[dict[int, str]]:
 
 
 def slope_llnf(s: AltWord, params: GroupParams) -> str:
-    """The length-lexicographic normal form of a slope, as a letter word."""
+    """The length-lexicographic normal form of a slope, as a letter word.
+
+    Runs the rank DP: a cell of column i is the packed integer
+    ``length * W + rank * m`` of llnf(u(i, rho)), where rank is the
+    lexicographic rank of that word within its column.  A candidate appends
+    one token T a^gamma, and ``_column_moves`` adds its length and its
+    gamma key to the predecessor's packed value, so the ll-least candidate
+    is the least integer.  Because no word of a column is a token prefix of
+    another (see the module docstring), (predecessor rank, gamma key), the
+    low part of that integer, is also the lexicographic order of the next
+    column.  The word is rebuilt from those low parts once, at the end.
+    """
     _check_slope(s, params)
     if not s.theta:
         return base_table(params)[s.alpha[0]]
-    return slope_dp_table(s, params)[-1][s.alpha[-1]]
+    r, q = r_llnf(params), params.q
+    m, w = _key_scale(params)
+    words, order, packed = _base_column(params)
+    orders = [order]
+    lows = []
+    for i, beta in enumerate(s.alpha[:-1]):
+        moves1, moves2, n_cands = _column_moves(params, beta, i == 0)
+        stats.ops.tick(n_cands)
+        keys = list(
+            map(
+                min,
+                [packed[j] + c for j, c in moves1],
+                [packed[j] + c for j, c in moves2],
+            )
+        )
+        low = [k % w for k in keys]
+        order = sorted(range(len(keys)), key=low.__getitem__)
+        packed = [0] * len(keys) + [math.inf]
+        for rank, j in enumerate(order):
+            packed[j] = keys[j] - low[j] + rank * m
+        lows.append(low)
+        orders.append(order)
+    # follow the back-pointers: a low part is (predecessor rank, gamma key)
+    row = s.alpha[-1] + r
+    tail = []
+    for low, order in zip(reversed(lows), reversed(orders[:-1])):
+        rank, gkey = divmod(low[row], m)
+        tail.append("T" + _run(gkey if gkey < q else q - gkey))
+        row = order[rank]
+    return words[row] + "".join(reversed(tail))
+
+
+@lru_cache(maxsize=None)
+def _base_column(params: GroupParams) -> tuple[tuple[str, ...], tuple[int, ...], tuple]:
+    """Column 0 of the rank DP: words, rows in lexicographic order, packed cells.
+
+    Row j holds llnf(rho) for rho = j - r - q, the integers the first column
+    reads.  The packed cells carry one extra cell past the last row: the
+    predecessor of a missing candidate (see ``_column_moves``).
+    """
+    r, q = r_llnf(params), params.q
+    m, w = _key_scale(params)
+    base = base_table(params)
+    words = [base[rho] for rho in range(-r - q, r + q + 1)]
+    order = sorted(range(len(words)), key=lambda j: words[j].translate(_LL_RANK))
+    packed = [0] * len(words) + [math.inf]
+    for rank, j in enumerate(order):
+        packed[j] = len(words[j]) * w + rank * m
+    return tuple(words), tuple(order), tuple(packed)
+
+
+def _key_scale(params: GroupParams) -> tuple[int, int]:
+    """(m, W) of the packed DP cells: m > every gamma key, W > rank * m + key."""
+    m = 2 * params.q
+    return m, (2 * (r_llnf(params) + params.q) + 1) * m
+
+
+Moves = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _column_moves(params: GroupParams, beta: int, first: bool) -> tuple[Moves, Moves, int]:
+    """The candidates of one rank-DP column, and how many there are.
+
+    Row j of a column holds rho = j - r; the first column reads from the
+    integer table, whose row for rho is rho + r + q.  A candidate
+    (prev row, weight) of row j stands for llnf(u(i, prev)) T a^gamma, and
+    its weight (1 + |gamma|) * W + key(gamma) is what appending the token
+    adds to a packed cell.  The gamma key orders a-runs as the letters do:
+    0 < 1 < ... < q-1 < -1 < -2 < ..., i.e. key = gamma or q - gamma.
+
+    A row has one or two candidates (one per residue of rho mod q).  The
+    first and second candidates of all rows come as two tuples; a row with
+    only one reads its second from the row one past the end, which holds
+    infinity.
+    """
+    r, q = r_llnf(params), params.q
+    _, w = _key_scale(params)
+    bound = r + q if first else r
+    none = (2 * bound + 1, 0)
+    moves1, moves2 = [], []
+    for rho in range(-r, r + 1):
+        cands = [
+            (prev + bound, (1 + abs(g)) * w + (g if g >= 0 else q - g))
+            for prev, g in _dp_candidates(beta, rho, params, bound)
+        ]
+        if not 1 <= len(cands) <= 2:
+            raise InternalError(f"row {rho} of the slope DP has {len(cands)} candidates")
+        moves1.append(cands[0])
+        moves2.append(cands[1] if len(cands) == 2 else none)
+    n_cands = sum(c is not none for c in moves2) + len(moves1)
+    return tuple(moves1), tuple(moves2), n_cands
 
 
 Matrix = list[dict[int, tuple[str, int | None]]]
@@ -260,7 +381,7 @@ def slope_dp_optimized(s: AltWord, params: GroupParams) -> Matrix:
             for prev, gamma in _dp_candidates(beta_i, rho, params, r):
                 stats.ops.tick()
                 cand = suffixes[prev] + "T" + _run(gamma)
-                key = (len(cand), ranks[prev], cand.translate(_TR))
+                key = (len(cand), ranks[prev], cand.translate(_LL_RANK))
                 if best_key is None or key < best_key:
                     best_key = key
                     rel[rho] = cand
@@ -275,9 +396,6 @@ def slope_dp_optimized(s: AltWord, params: GroupParams) -> Matrix:
     return matrix
 
 
-_TR = str.maketrans("tTaA", "0123")
-
-
 def _rank_by(keys: dict[int, object]) -> dict[int, int]:
     """Dense ranks; equal keys (equal hidden prefixes) share a rank."""
     order = {}
@@ -288,9 +406,9 @@ def _rank_by(keys: dict[int, object]) -> dict[int, int]:
 
 def _norm_key(v):
     if isinstance(v, str):
-        return (v.translate(_TR),)
+        return (v.translate(_LL_RANK),)
     rank, frag = v
-    return (rank, frag.translate(_TR))
+    return (rank, frag.translate(_LL_RANK))
 
 
 def reconstruct_from_matrix(matrix: Matrix, rho: int) -> str:

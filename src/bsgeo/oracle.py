@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .britton import britton_reduce, is_britton_reduced
 from .canonical import canonical_form
-from .errors import LimitExceeded, OutOfBall
+from .errors import InternalError, LimitExceeded, OutOfBall
 from .words import (
     AltWord,
     GroupParams,
@@ -149,7 +149,8 @@ def oracle_britton_pnf(
     if index is None:
         index = ball(params, coeff_max)
     target_word = canonical_form(w, params)
-    assert target_word.theta == red.theta
+    if target_word.theta != red.theta:
+        raise InternalError("canonical and Britton t-sequences differ")
     tgt = target_word.alpha
     theta = red.theta
 
@@ -229,5 +230,6 @@ def oracle_britton_pnf(
 
     best = min(tuples, key=split_key)
     word = AltWord(best, theta)
-    assert is_britton_reduced(word, params)
+    if not is_britton_reduced(word, params):
+        raise InternalError("enumerated pnf is not Britton-reduced")
     return word

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 from . import stats
 from .britton import Decomposition, classify, decompose
-from .errors import NotAHill
+from .errors import InternalError, NotAHill
 from .horocyclic import int_llnf, int_norm, norm, r_llnf, residues_mod
 from .words import AltWord, GroupParams, height_profile, sym_key
 
@@ -201,7 +201,8 @@ def _wrap_flanks(
         for gamma in residues_mod(rho, q):
             mu = (rho - gamma) // q
             nxt = mu * p + cons
-            assert abs(nxt) <= r, "left peel escaped the table radius"
+            if abs(nxt) > r:
+                raise InternalError("left peel escaped the table radius")
             out.append((gamma, nxt))
         return out
 
@@ -211,7 +212,8 @@ def _wrap_flanks(
         for gamma in residues_mod(delta, q):
             mu = (delta - gamma) // q
             nxt = mu * p + cons
-            assert abs(nxt) <= r, "right peel escaped the table radius"
+            if abs(nxt) > r:
+                raise InternalError("right peel escaped the table radius")
             out.append((gamma, nxt))
         return out
 

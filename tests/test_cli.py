@@ -100,6 +100,15 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "a" * 3**10
 
+    def test_huge_coefficient_is_a_clean_error(self):
+        # 10^20 > sys.maxsize: spelling it out in letters raises OverflowError
+        proc = run_cli("--p", "1", "--q", "2", "geolen", "100000000000000000000")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestJson:
     def test_britton_schema_golden(self):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from conftest import P12, P13, P23, P24, P26, random_slope
+import random
+
+from conftest import P12, P13, P23, P24, P26, P36, random_slope
 
 import pytest
 
 from bsgeo import (
     AltWord,
+    GroupParams,
     NotHorocyclic,
     PreconditionError,
     ball,
@@ -28,6 +31,17 @@ from bsgeo import (
     slope_llnf,
     to_alt,
     alt_from_int,
+)
+from bsgeo import stats
+from bsgeo.horocyclic import _int_llnf_cached
+
+# every pair with q <= 8 whose integer table builds in a few seconds; the
+# staircase search of base_table grows steeply with r, and the pairs left out,
+# (5,6), (6,7), (6,8) and (7,8), have r >= 49 (BS(6,8) alone takes ~25 s)
+SMALL_PAIRS = tuple(
+    params
+    for params in (GroupParams(p, q) for q in range(2, 9) for p in range(1, q))
+    if r_llnf(params) <= 36
 )
 
 APPENDIX = to_alt(parse_word("7t14T-2tt9T2T23"))
@@ -120,6 +134,53 @@ class TestSlopeDP:
             r = r_llnf(params)
             for rho in range(-r, r + 1):
                 assert reconstruct_from_matrix(matrix, rho) == cols[-1][rho]
+
+
+class TestRankDP:
+    """The production rank DP against the whole-word reference DP.
+
+    These draw from their own generators so that the shared ``rng`` stream,
+    and with it the inputs of every later test, stays as it was.
+    """
+
+    @pytest.mark.parametrize("params", SMALL_PAIRS, ids=lambda P: f"BS({P.p},{P.q})")
+    def test_long_slopes_match_reference(self, params):
+        rng = random.Random(f"slopes{params}")
+        q = params.q
+        for _ in range(2):
+            s = random_slope(rng, params, max_len=400)
+            while len(s.theta) < 50:
+                s = random_slope(rng, params, max_len=400)
+            last = slope_dp_table(s, params)[-1]
+            # every admissible last coefficient, so the whole final column is read
+            for gamma in range(-(q - 1), q):
+                s2 = AltWord(s.alpha[:-1] + (gamma,), s.theta)
+                assert slope_llnf(s2, params) == last[gamma], (params, s2)
+
+    @pytest.mark.parametrize("params", (P12, P13, P23, P24, P26, P36))
+    def test_int_llnf_big_integers(self, params):
+        rng = random.Random(f"ints{params}")
+        for _ in range(4):
+            digits = rng.randint(30, 300)
+            alpha = rng.randrange(10 ** (digits - 1), 10**digits) * rng.choice((1, -1))
+            ell, slope = greedy_slope(alpha, params)
+            want = "t" * ell + slope_dp_table(slope, params)[-1][slope.alpha[-1]]
+            assert int_llnf(alpha, params) == want
+
+    @pytest.mark.parametrize("params", (P12, P24))
+    def test_op_count_is_linear(self, params):
+        rng = random.Random(f"ops{params}")
+        base_table(params)  # built once per pair; its search is not per call
+
+        def ops(digits: int) -> int:
+            alpha = rng.randrange(10 ** (digits - 1), 10**digits)
+            _int_llnf_cached.cache_clear()
+            stats.ops.reset()
+            int_llnf(alpha, params)
+            return stats.ops.reset()
+
+        ratio = ops(3200) / ops(800)
+        assert 3 <= ratio <= 5, ratio
 
 
 class TestIntLlnf:
