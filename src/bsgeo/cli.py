@@ -62,62 +62,31 @@ def _render_or_raw(args, u: AltWord) -> str:
     return render_word(u)
 
 
-def cmd_britton(args, params) -> int:
-    u = _word_arg(args)
-    red = britton_reduce(u, params)
-    cls = classify(red, params)
-    out = _render_or_raw(args, red)
-    _emit(
-        args,
-        {
-            "input": args.word,
-            "britton": render_word(red),
-            "t_sequence": red.theta,
-            "classification": cls.describe(),
-            "text": [out],
-        },
-    )
-    return 0
+def _render_text(args, w: AltWord, cls) -> str:
+    return _render_or_raw(args, w)
 
 
-def cmd_canonical(args, params) -> int:
-    u = _word_arg(args)
-    can = canonical_form(u, params)
-    cls = classify(can, params)
-    _emit(
-        args,
-        {
-            "input": args.word,
-            "britton": render_word(can),
-            "t_sequence": can.theta,
-            "classification": cls.describe(),
-            "text": [_render_or_raw(args, can)],
-        },
-    )
-    return 0
+# subcommand -> (transform of the input, its text line, whether the output
+# also reports the transformed word and its classification)
+_TRANSFORMS = {
+    "britton": (britton_reduce, _render_text, True),
+    "canonical": (canonical_form, _render_text, True),
+    "tseq": (britton_reduce, lambda args, w, cls: w.theta, False),
+    "classify": (britton_reduce, lambda args, w, cls: cls.describe(), True),
+}
 
 
-def cmd_tseq(args, params) -> int:
-    u = _word_arg(args)
-    ts = t_sequence(u, params)
-    _emit(args, {"input": args.word, "t_sequence": ts, "text": [ts]})
-    return 0
-
-
-def cmd_classify(args, params) -> int:
-    u = _word_arg(args)
-    red = britton_reduce(u, params)
-    cls = classify(red, params)
-    _emit(
-        args,
-        {
-            "input": args.word,
-            "britton": render_word(red),
-            "t_sequence": red.theta,
-            "classification": cls.describe(),
-            "text": [cls.describe()],
-        },
-    )
+def cmd_transform(args, params) -> int:
+    transform, text, described = _TRANSFORMS[args.command]
+    w = transform(_word_arg(args), params)
+    fields = {"input": args.word, "t_sequence": w.theta}
+    cls = None
+    if described:
+        cls = classify(w, params)
+        fields["britton"] = render_word(w)
+        fields["classification"] = cls.describe()
+    fields["text"] = [text(args, w, cls)]
+    _emit(args, fields)
     return 0
 
 
@@ -296,15 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (
-        ("britton", cmd_britton),
-        ("canonical", cmd_canonical),
-        ("tseq", cmd_tseq),
-        ("classify", cmd_classify),
-        ("llnf", cmd_llnf),
-        ("pnf", cmd_pnf),
-        ("geolen", cmd_geolen),
-    ):
+    commands = dict.fromkeys(_TRANSFORMS, cmd_transform)
+    commands.update(llnf=cmd_llnf, pnf=cmd_pnf, geolen=cmd_geolen)
+    for name, fn in commands.items():
         sp = sub.add_parser(name)
         sp.add_argument("word", help="input word in compact notation")
         sp.set_defaults(fn=fn)
@@ -334,6 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # coefficients are arbitrary-precision: lift the interpreter's cap on
+    # int/str conversion (4300 digits by default) for this call only
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args, params)
     except UnsupportedCase as exc:
@@ -347,6 +315,9 @@ def main(argv: list[str] | None = None) -> int:
         # cannot even be allocated
         print(f"error: coefficient too large to expand ({exc})", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

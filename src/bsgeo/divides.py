@@ -15,11 +15,14 @@ ending with t) is:
 
 2. A Britton-reduced valley v factors as v ~ V gamma with V a standard
    valley: trailing coefficient 0, |coefficients| < q everywhere and < p
-   in front of every T.  The factorisation follows the grammar: leaves
-   contribute their value, concatenations push constants to the right, and
-   an arc alpha T U beta t splits alpha = mu p + alpha' and pushes mu q
-   inward, then splits the emerging constant delta + mu q + beta =
-   nu q + beta' and emits nu p.
+   in front of every T.  The factorisation is the carry pass of
+   ``canonical_form``: V is the canonical form of v with its last
+   coefficient set to 0, and gamma is that last coefficient.  The pass
+   cancels no pair: in a Britton-reduced word the carry into T c t is a
+   multiple of q and the carry into t c T a multiple of p, so the tested
+   remainder is never 0.  Because p divides q, the carry mu q that an arc
+   pushes inward passes every inner T whole and leaves after the matching
+   t unchanged, which is the grammar's arc rule.
 
 3. For each standard valley V a range R(V), a set of multiples of p with
    |rho| <= r * s(V)  (r the least positive integer with
@@ -48,10 +51,12 @@ of levels) are fine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache, partial
+from typing import Callable
 
 from . import stats
 from .britton import britton_reduce, decompose, is_britton_reduced
+from .canonical import canonical_form
 from .errors import (
     InternalError,
     NotAValley,
@@ -149,7 +154,8 @@ class ValleyTree:
 
     def reassemble(self) -> AltWord:
         """The valley word spelled by the tree (inverse of valley_parse)."""
-        return alt_from_symbols(_tree_symbols(self.nodes, self.root))
+        view = partial(_node_view, self.nodes)
+        return alt_from_symbols(_walk_symbols(self.root, view))
 
 
 def _is_valley(w: AltWord) -> bool:
@@ -219,33 +225,46 @@ def valley_parse(v: AltWord) -> ValleyTree:
     return ValleyTree(nodes, fold(top))
 
 
-def _tree_symbols(nodes: list[ValleyNode], root: int) -> list:
-    """Symbols of the word a tree spells, trailing coefficient included."""
+def _node_view(nodes: list[ValleyNode], nid: int) -> tuple:
+    node = nodes[nid]
+    if node.kind == "leaf":
+        return ("leaf", node.value)
+    if node.kind == "arc":
+        return ("arc", node.alpha, node.child, node.beta)
+    return ("cat", node.left, node.right)
+
+
+def _walk_symbols(root, view: Callable[[object], tuple]) -> list:
+    """Symbols of the word spelled from root, trailing coefficient included.
+
+    ``view`` reads a node as ("leaf", value), ("arc", alpha, child, beta)
+    or ("cat", left, right).
+    """
     out: list = []
     stack: list[tuple] = [(root, 0, 0)]
     while stack:
-        nid, phase, extra = stack.pop()
-        node = nodes[nid]
-        if node.kind == "leaf":
-            out.append(node.value)
-        elif node.kind == "arc":
+        node, phase, extra = stack.pop()
+        parts = view(node)
+        if parts[0] == "leaf":
+            out.append(parts[1])
+        elif parts[0] == "arc":
             if phase == 0:
-                out.append(node.alpha)
+                out.append(parts[1])
                 out.append("T")
-                stack.append((nid, 1, 0))
-                stack.append((node.child, 0, 0))
+                stack.append((node, 1, 0))
+                stack.append((parts[2], 0, 0))
             else:
-                out[-1] += node.beta
+                out[-1] += parts[3]
                 out.append("t")
                 out.append(0)
         else:
             if phase == 0:
-                stack.append((nid, 1, 0))
-                stack.append((node.left, 0, 0))
+                stack.append((node, 1, 0))
+                stack.append((parts[1], 0, 0))
             elif phase == 1:
                 carry = out.pop()
-                stack.append((nid, 2, (carry, len(out))))
-                stack.append((node.right, 0, 0))
+                stack.append((node, 2, (carry, len(out))))
+                stack.append((parts[2], 0, 0))
             else:
                 carry, idx = extra
                 out[idx] += carry
@@ -256,75 +275,25 @@ def _tree_symbols(nodes: list[ValleyNode], root: int) -> list:
 # standardisation (valley ~ standard valley * integer)
 # ---------------------------------------------------------------------------
 
-def _standardize(tree: ValleyTree, params: GroupParams) -> tuple[ValleyTree, int]:
-    """Rebuild the tree as a standard valley, returning the pushed constant."""
-    p, q = params.p, params.q
-    nodes = tree.nodes
-    std: list[ValleyNode] = []
-    stack: list[list] = [[tree.root, 0, 0, -1]]
-    ret: tuple[int, int] | None = None  # (std node id, emitted constant)
-    while stack:
-        fr = stack[-1]
-        nid, add, state = fr[0], fr[1], fr[2]
-        node = nodes[nid]
-        stats.ops.tick()
-        if node.kind == "leaf":
-            std.append(ValleyNode("leaf", value=0))
-            ret = (len(std) - 1, node.value + add)
-            stack.pop()
-        elif node.kind == "arc":
-            if state == 0:
-                fr[2] = 1
-                stack.append([node.child, 0, 0, -1])
-            else:
-                child_sid, delta = ret
-                mu, app = divmod(node.alpha + add, p)
-                nu, bp = divmod(delta + mu * q + node.beta, q)
-                std.append(
-                    ValleyNode(
-                        "arc",
-                        alpha=app,
-                        beta=bp,
-                        child=child_sid,
-                        sinks=std[child_sid].sinks,
-                    )
-                )
-                ret = (len(std) - 1, nu * p)
-                stack.pop()
-        else:
-            if state == 0:
-                fr[2] = 1
-                stack.append([node.left, add, 0, -1])
-            elif state == 1:
-                left_sid, flow = ret
-                fr[2] = 2
-                fr[3] = left_sid
-                stack.append([node.right, flow, 0, -1])
-            else:
-                right_sid, gamma = ret
-                left_sid = fr[3]
-                std.append(
-                    ValleyNode(
-                        "cat",
-                        left=left_sid,
-                        right=right_sid,
-                        sinks=std[left_sid].sinks + std[right_sid].sinks,
-                    )
-                )
-                ret = (len(std) - 1, gamma)
-                stack.pop()
-    sid, gamma = ret
-    return ValleyTree(std, sid), gamma
+def _standard_split(w: AltWord, params: GroupParams) -> tuple[AltWord, int]:
+    """V and gamma with w ~ V a^gamma for a Britton-reduced valley w."""
+    c = canonical_form(w, params)
+    if c.theta != w.theta:
+        raise InternalError("the carry pass cancelled a pair of a reduced valley")
+    return AltWord(c.alpha[:-1] + (0,), c.theta), c.alpha[-1]
 
 
-def to_standard_valley(v: AltWord, params: GroupParams) -> tuple[AltWord, int]:
-    """A standard valley V and gamma with v ~ V a^gamma (Britton-reduced)."""
+def _reduced_valley(v: AltWord, params: GroupParams) -> AltWord:
     _require_divides(params)
     w = britton_reduce(v, params)
     if not _is_valley(w):
         raise NotAValley(f"{v} does not Britton-reduce to a valley")
-    std, gamma = _standardize(valley_parse(w), params)
-    return std.reassemble(), gamma
+    return w
+
+
+def to_standard_valley(v: AltWord, params: GroupParams) -> tuple[AltWord, int]:
+    """A standard valley V and gamma with v ~ V a^gamma (Britton-reduced)."""
+    return _standard_split(_reduced_valley(v, params), params)
 
 
 def is_standard_valley(V: AltWord, params: GroupParams) -> bool:
@@ -349,31 +318,6 @@ def is_standard_valley(V: AltWord, params: GroupParams) -> bool:
 
 def _eps_options(alpha: int, p: int) -> tuple[int, ...]:
     return tuple(e for e in (-1, 0, 1) if abs(alpha - e * p) < p)
-
-
-def _ranges(tree: ValleyTree, params: GroupParams) -> list[tuple[int, ...]]:
-    """Range R per node, children first (nodes are in child-first order)."""
-    p, q = params.p, params.q
-    out: list[tuple[int, ...]] = []
-    for node in tree.nodes:
-        if node.kind == "leaf":
-            out.append((0,))
-        elif node.kind == "arc":
-            acc: set[int] = set()
-            for sigma in out[node.child]:
-                for eps in _eps_options(node.alpha, p):
-                    x = sigma + eps * q + node.beta
-                    for b2 in residues_mod(x, q):
-                        stats.ops.tick()
-                        acc.add(((x - b2) // q) * p)
-            out.append(tuple(sorted(acc)))
-        else:
-            acc = {
-                s + t_ for s in out[node.left] for t_ in out[node.right]
-            }
-            stats.ops.tick(len(out[node.left]) * len(out[node.right]))
-            out.append(tuple(sorted(acc)))
-    return out
 
 
 class _Rope:
@@ -468,36 +412,12 @@ def _families(tree: ValleyTree, params: GroupParams) -> list[dict[int, _Rope]]:
     return fams
 
 
-def _rope_symbols(rope: _Rope) -> list:
-    """Symbols of the family word, trailing zero coefficient included."""
-    out: list = []
-    stack: list[tuple] = [(rope, 0, 0)]
-    while stack:
-        node, phase, extra = stack.pop()
-        if node.kind == "leaf":
-            out.append(0)
-        elif node.kind == "arc":
-            if phase == 0:
-                out.append(node.a)
-                out.append("T")
-                stack.append((node, 1, 0))
-                stack.append((node.b, 0, 0))
-            else:
-                out[-1] += node.c
-                out.append("t")
-                out.append(0)
-        else:
-            if phase == 0:
-                stack.append((node, 1, 0))
-                stack.append((node.a, 0, 0))
-            elif phase == 1:
-                carry = out.pop()
-                stack.append((node, 2, (carry, len(out))))
-                stack.append((node.b, 0, 0))
-            else:
-                carry, idx = extra
-                out[idx] += carry
-    return out
+def _rope_view(rope: _Rope) -> tuple:
+    if rope.kind == "leaf":
+        return ("leaf", 0)
+    if rope.kind == "arc":
+        return ("arc", rope.a, rope.b, rope.c)
+    return ("cat", rope.a, rope.b)
 
 
 def _parse_standard(V: AltWord, params: GroupParams) -> ValleyTree:
@@ -510,7 +430,7 @@ def range_of(V: AltWord, params: GroupParams) -> tuple[int, ...]:
     """The shift range R(V) of a standard valley (sorted multiples of p)."""
     _require_divides(params)
     tree = _parse_standard(V, params)
-    return _ranges(tree, params)[tree.root]
+    return tuple(sorted(_families(tree, params)[tree.root]))
 
 
 def valley_family(V: AltWord, params: GroupParams) -> dict[int, tuple[AltWord, int]]:
@@ -520,7 +440,7 @@ def valley_family(V: AltWord, params: GroupParams) -> dict[int, tuple[AltWord, i
     fams = _families(tree, params)
     out = {}
     for rho, rope in fams[tree.root].items():
-        out[rho] = (alt_from_symbols(_rope_symbols(rope)), rope.norm)
+        out[rho] = (alt_from_symbols(_walk_symbols(rope, _rope_view)), rope.norm)
     return out
 
 
@@ -530,22 +450,19 @@ def valley_family(V: AltWord, params: GroupParams) -> dict[int, tuple[AltWord, i
 
 def valley_pnf(v: AltWord, params: GroupParams) -> BrittonPnf:
     """Peak normal form of a valley: min over V_rho llnf(rho + gamma)."""
-    _require_divides(params)
-    w = britton_reduce(v, params)
-    if not _is_valley(w):
-        raise NotAValley(f"{v} does not Britton-reduce to a valley")
+    w = _reduced_valley(v, params)
     if not w.theta:
         return make_britton_pnf(w, params)
-    std, gamma = _standardize(valley_parse(w), params)
-    fams = _families(std, params)
+    V, gamma = _standard_split(w, params)
+    tree = valley_parse(V)
     best = None
-    for rho, rope in fams[std.root].items():
+    for rho, rope in _families(tree, params)[tree.root].items():
         stats.ops.tick()
         key = (rope.norm + int_norm(rho + gamma, params), rope.rank)
         if best is None or key < best[0]:
             best = (key, rho, rope)
     _, rho, rope = best
-    syms = _rope_symbols(rope)
+    syms = _walk_symbols(rope, _rope_view)
     syms[-1] += rho + gamma
     return make_britton_pnf(alt_from_symbols(syms), params)
 

@@ -31,8 +31,9 @@ from .words import (
     AltWord,
     GroupParams,
     alt_from_int,
-    height_profile,
+    involute_symbols,
     parse_word,
+    peak_position,
     render_word,
     sym_key,
     to_alt,
@@ -208,24 +209,13 @@ def oracle_britton_pnf(
     else:
         raise LimitExceeded("no representative found within the bounds")
 
-    prof = height_profile(red)
-    top = max(prof)
-    peak = len(prof) - 1 - prof[::-1].index(top)
+    peak = peak_position(red)
 
     def split_key(coeffs: tuple[int, ...]) -> tuple:
-        syms: list = [coeffs[0]]
-        for i, th in enumerate(theta):
-            syms.append(th)
-            syms.append(coeffs[i + 1])
-        u1 = syms[: 2 * peak]
-        u2 = syms[2 * peak + 1 :]
-        inv2 = [
-            -s if isinstance(s, int) else ("t" if s == "T" else "T")
-            for s in reversed(u2)
-        ]
+        syms = AltWord(coeffs, theta).symbols()
         return (
-            tuple(sym_key(s) for s in u1),
-            tuple(sym_key(s) for s in inv2),
+            tuple(sym_key(s) for s in syms[: 2 * peak]),
+            tuple(sym_key(s) for s in involute_symbols(syms[2 * peak + 1 :])),
         )
 
     best = min(tuples, key=split_key)

@@ -19,11 +19,12 @@ coefficients into [0, q), the left flank is peeled with
                          rho = mu q + gamma, |gamma| < q }
 
 and the right flank symmetrically (appended T gamma, minimising the
-reversed tail).  All candidate words in one minimisation share their
-t-sequence, hence their peak position, so candidates compare by
-(norm, u_1 symbols, reversed-u_2 symbols).  The core family is memoised;
-horocyclic cores are immediate, difficult cores are delegated to the
-caller-supplied solver.
+reversed tail).  Read innermost first, the two flanks have the same shape,
+so one carry pass and one peel serve both.  All candidate words in one
+minimisation share their t-sequence, hence their peak position, so
+candidates compare by (norm, u_1 symbols, reversed-u_2 symbols).  The
+core family is memoised; horocyclic cores are immediate, difficult cores
+are delegated to the caller-supplied solver.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import stats
 from .britton import Decomposition, classify, decompose
 from .errors import InternalError, NotAHill
 from .horocyclic import int_llnf, int_norm, norm, r_llnf, residues_mod
-from .words import AltWord, GroupParams, height_profile, sym_key
+from .words import AltWord, GroupParams, involute_symbols, peak_position, sym_key
 
 __all__ = ["BrittonPnf", "make_britton_pnf", "flatten_pnf", "peak_wrap_pnf", "hill_pnf"]
 
@@ -59,9 +60,7 @@ class BrittonPnf:
 
 def make_britton_pnf(word: AltWord, params: GroupParams) -> BrittonPnf:
     """Wrap a Britton-reduced word with its peak split and norm."""
-    prof = height_profile(word)
-    top = max(prof)
-    i = len(prof) - 1 - prof[::-1].index(top)
+    i = peak_position(word)
     syms = word.symbols()
     return BrittonPnf(
         word=word,
@@ -99,23 +98,16 @@ def _order_key(v: _Val) -> tuple:
     return (v.norm, len(v.u1key), v.u1key, len(v.u2key), v.u2key)
 
 
-def _inv_symbols(syms: tuple) -> list:
-    out = []
-    for s in reversed(syms):
-        out.append(-s if isinstance(s, int) else ("t" if s == "T" else "T"))
-    return out
-
-
 def _val_from_pnf(b: BrittonPnf) -> _Val:
     u1key = tuple(sym_key(s) for s in b.u1)
-    u2key = tuple(sym_key(s) for s in _inv_symbols(b.u2))
+    u2key = tuple(sym_key(s) for s in involute_symbols(b.u2))
     return _Val(b.norm, u1key, u2key, b.word)
 
 
 _T_KEY = sym_key("t")
 
 
-def _prepend(gamma: int, v: _Val, params: GroupParams) -> _Val:
+def _prepend(v: _Val, gamma: int, params: GroupParams) -> _Val:
     stats.ops.tick()
     word = AltWord((gamma,) + v.word.alpha, "t" + v.word.theta)
     return _Val(
@@ -141,35 +133,22 @@ def _append(v: _Val, gamma: int, params: GroupParams) -> _Val:
 # flank peeling
 # ---------------------------------------------------------------------------
 
-def _normalize_flanks(
-    dec: Decomposition, params: GroupParams
-) -> tuple[list[int], list[int], AltWord]:
-    """Carry flank coefficients into [0, q), pushing the excess into the core.
+def _carry_flank(flank, params: GroupParams) -> tuple[list[int], int]:
+    """Carry coefficients, given outermost first, into [0, q).
 
-    a^(mu q) t ~ t a^(mu p) moves left-flank excess inward; T a^(mu q) ~
-    a^(mu p) T moves right-flank excess inward.  The pushed amounts are
-    multiples of p, so the core's boundary residues mod p, and with them
-    Britton-reducedness, are preserved.
+    a^(mu q) t ~ t a^(mu p) moves left-flank excess inward, and T a^(mu q)
+    ~ a^(mu p) T moves right-flank excess inward.  Returns the reduced
+    coefficients innermost first and the carry left for the core.  The
+    carry is a multiple of p, so the core's boundary residues mod p, and
+    with them Britton-reducedness, are preserved.
     """
-    p, q = params.p, params.q
-    A = list(dec.alphas)
-    B = list(dec.betas)
-    core_alpha = list(dec.core.alpha)
-    for idx in range(len(A)):
-        mu, rem = divmod(A[idx], q)
-        A[idx] = rem
-        if idx + 1 < len(A):
-            A[idx + 1] += mu * p
-        else:
-            core_alpha[0] += mu * p
-    for idx in range(len(B) - 1, -1, -1):
-        mu, rem = divmod(B[idx], q)
-        B[idx] = rem
-        if idx:
-            B[idx - 1] += mu * p
-        else:
-            core_alpha[-1] += mu * p
-    return A, B, AltWord(tuple(core_alpha), dec.core.theta)
+    out = []
+    carry = 0
+    for a in flank:
+        mu, rem = divmod(a + carry, params.q)
+        out.append(rem)
+        carry = mu * params.p
+    return out[::-1], carry
 
 
 def _wrap_flanks(
@@ -177,12 +156,15 @@ def _wrap_flanks(
     core_solver: Callable[[AltWord], BrittonPnf],
     params: GroupParams,
 ) -> BrittonPnf:
-    A, B, core = _normalize_flanks(dec, params)
-    k, m = len(A), len(B)
+    # both flanks innermost first: the left one read right to left
+    left, rho_carry = _carry_flank(dec.alphas, params)
+    right, delta_carry = _carry_flank(dec.betas[::-1], params)
+    core_alpha = list(dec.core.alpha)
+    core_alpha[0] += rho_carry
+    core_alpha[-1] += delta_carry
+    core = AltWord(tuple(core_alpha), dec.core.theta)
     p, q = params.p, params.q
     r = r_llnf(params)
-    rho_top = A[0] if k else 0
-    delta_top = B[-1] if m else 0
 
     core_cache: dict[tuple[int, int], _Val] = {}
 
@@ -195,68 +177,50 @@ def _wrap_flanks(
             core_cache[key] = _val_from_pnf(core_solver(AltWord(tuple(ca), core.theta)))
         return core_cache[key]
 
-    def left_moves(i: int, rho: int) -> list[tuple[int, int]]:
-        cons = A[k - i + 1] if i >= 2 else 0
+    def moves(flank: list[int], i: int, x: int) -> list[tuple[int, int]]:
+        """Peeling x = mu q + gamma at level i leaves mu p + the next coefficient."""
+        cons = flank[i - 2] if i >= 2 else 0
         out = []
-        for gamma in residues_mod(rho, q):
-            mu = (rho - gamma) // q
-            nxt = mu * p + cons
+        for gamma in residues_mod(x, q):
+            nxt = (x - gamma) // q * p + cons
             if abs(nxt) > r:
-                raise InternalError("left peel escaped the table radius")
+                raise InternalError("flank peel escaped the table radius")
             out.append((gamma, nxt))
         return out
 
-    def right_moves(j: int, delta: int) -> list[tuple[int, int]]:
-        cons = B[j - 2] if j >= 2 else 0
-        out = []
-        for gamma in residues_mod(delta, q):
-            mu = (delta - gamma) // q
-            nxt = mu * p + cons
-            if abs(nxt) > r:
-                raise InternalError("right peel escaped the table radius")
-            out.append((gamma, nxt))
-        return out
+    def reachable(flank: list[int]) -> list[set[int]]:
+        """Which outer coefficients are reachable at each level."""
+        sets: list[set[int]] = [set() for _ in flank] + [{flank[-1] if flank else 0}]
+        for i in range(len(flank), 0, -1):
+            for x in sets[i]:
+                sets[i - 1].update(nxt for _, nxt in moves(flank, i, x))
+        return sets
 
-    # which outer coefficients are reachable at each level
-    left_sets: list[set[int]] = [set() for _ in range(k + 1)]
-    left_sets[k] = {rho_top}
-    for i in range(k, 0, -1):
-        for rho in left_sets[i]:
-            left_sets[i - 1].update(nxt for _, nxt in left_moves(i, rho))
-    right_sets: list[set[int]] = [set() for _ in range(m + 1)]
-    right_sets[m] = {delta_top}
-    for j in range(m, 0, -1):
-        for delta in right_sets[j]:
-            right_sets[j - 1].update(nxt for _, nxt in right_moves(j, delta))
-
-    def right_chain(rho: int) -> _Val:
-        if m == 0:
-            return core_val(rho, 0)
-        level = {delta: core_val(rho, delta) for delta in right_sets[0]}
-        for j in range(1, m + 1):
+    def peel(level: dict[int, _Val], flank, sets, join) -> _Val:
+        for i in range(1, len(flank) + 1):
             nxt_level = {}
-            for delta in right_sets[j]:
+            for x in sets[i]:
                 best = None
-                for gamma, inner in right_moves(j, delta):
-                    cand = _append(level[inner], gamma, params)
+                for gamma, inner in moves(flank, i, x):
+                    cand = join(level[inner], gamma, params)
                     if best is None or _order_key(cand) < _order_key(best):
                         best = cand
-                nxt_level[delta] = best
+                nxt_level[x] = best
             level = nxt_level
-        return level[delta_top]
+        (top,) = sets[-1]
+        return level[top]
 
-    level = {rho: right_chain(rho) for rho in left_sets[0]}
-    for i in range(1, k + 1):
-        nxt_level = {}
-        for rho in left_sets[i]:
-            best = None
-            for gamma, inner in left_moves(i, rho):
-                cand = _prepend(gamma, level[inner], params)
-                if best is None or _order_key(cand) < _order_key(best):
-                    best = cand
-            nxt_level[rho] = best
-        level = nxt_level
-    return make_britton_pnf(level[rho_top].word, params)
+    left_sets, right_sets = reachable(left), reachable(right)
+    level = {
+        rho: peel(
+            {delta: core_val(rho, delta) for delta in right_sets[0]},
+            right,
+            right_sets,
+            _append,
+        )
+        for rho in left_sets[0]
+    }
+    return make_britton_pnf(peel(level, left, left_sets, _prepend).word, params)
 
 
 def peak_wrap_pnf(

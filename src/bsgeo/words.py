@@ -163,6 +163,14 @@ def involute(u: AltWord) -> AltWord:
     )
 
 
+def involute_symbols(syms) -> list:
+    """Formal inverse of a symbol sequence over Z union {t, T}."""
+    return [
+        -s if isinstance(s, int) else s.translate(_INVOLUTE_LETTER)
+        for s in reversed(syms)
+    ]
+
+
 def involute_raw(w: str) -> str:
     """Formal inverse of a letter word."""
     return w[::-1].translate(_INVOLUTE_LETTER)
@@ -211,13 +219,11 @@ def sink_count(u: AltWord) -> int:
 
 
 def peak_count(u: AltWord) -> int:
-    """Dual of sink_count: positions with theta_i != T and theta_{i+1} != t."""
-    k = len(u.theta)
-    n = 0
-    for i in range(k + 1):
-        if (i == 0 or u.theta[i - 1] != "T") and (i == k or u.theta[i] != "t"):
-            n += 1
-    return n
+    """Dual of sink_count: positions with theta_i != T and theta_{i+1} != t.
+
+    These are the sinks of u with every t and T swapped.
+    """
+    return sink_count(AltWord(u.alpha, u.theta.translate(_INVOLUTE_LETTER)))
 
 
 # ---------------------------------------------------------------------------

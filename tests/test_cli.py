@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 APPENDIX = "7t14T-2tt9T2T23"
 
 
@@ -100,14 +102,29 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "a" * 3**10
 
-    def test_huge_coefficient_is_a_clean_error(self):
-        # 10^20 > sys.maxsize: spelling it out in letters raises OverflowError
-        proc = run_cli("--p", "1", "--q", "2", "geolen", "100000000000000000000")
+    @pytest.mark.parametrize(
+        "coefficient",
+        ["100000000000000000000", "7" * 5000],
+        ids=["20-digits", "5000-digits"],
+    )
+    def test_huge_coefficient_is_a_clean_error(self, coefficient):
+        # 10^20 > sys.maxsize: spelling it out in letters raises OverflowError;
+        # 5000 digits also exceed the interpreter's default int/str limit
+        proc = run_cli("--p", "1", "--q", "2", "geolen", coefficient)
         assert proc.returncode == 1
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_output_beyond_default_digit_limit(self):
+        # 2^40000 has 12042 digits, more than int/str converts by default
+        proc = run_cli("--p", "1", "--q", "2", "britton", "t^40000 1 T^40000")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        out = proc.stdout.strip()
+        assert out.isdigit() and len(out) == 12042
+        assert int(out[-18:]) == pow(2, 40000, 10**18)
 
 
 class TestJson:

@@ -10,12 +10,14 @@ from bsgeo import (
     AltWord,
     NotAHill,
     ball,
+    britton_reduce,
     classify,
     equal,
     flatten_pnf,
     hill_pnf,
     involute,
     make_britton_pnf,
+    oracle_britton_pnf,
     oracle_geolen,
     parse_word,
     peak_wrap_pnf,
@@ -87,6 +89,23 @@ class TestHillPnf:
                 flat = flatten_pnf(b, params)
                 assert equal(u, to_alt(flat), params)
                 assert len(flat) == oracle_geolen(u, index) == b.norm
+
+    def test_words_match_enumeration_nondividing(self):
+        # exact Britton pnf words for p not dividing q, where the flank peel's
+        # tie-breaking decides the word and lengths alone cannot catch it
+        index = ball(P23, 8)
+        compared = 0
+        for word in iter_words(5):
+            u = to_alt(word)
+            c = classify(u, P23)
+            if not (c.horocyclic or c.hill):
+                continue
+            if len(britton_reduce(u, P23).theta) > 4:
+                continue  # outside the stated k_max bound
+            want = oracle_britton_pnf(u, P23, 4, 8, index)
+            assert hill_pnf(u, P23).word == want, word
+            compared += 1
+        assert compared == 1255
 
 
 class TestPeakWrap:
