@@ -94,7 +94,6 @@ from .words import (
     parse_word,
     peak_count,
     peak_position,
-    render_raw,
     render_word,
     sink_count,
     to_alt,

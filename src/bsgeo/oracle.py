@@ -28,14 +28,13 @@ from .britton import britton_reduce, is_britton_reduced
 from .canonical import canonical_form
 from .errors import InternalError, LimitExceeded, OutOfBall
 from .words import (
+    LETTERS,
     AltWord,
     GroupParams,
     alt_from_int,
-    involute_symbols,
     parse_word,
-    peak_position,
+    peak_key,
     render_word,
-    sym_key,
     to_alt,
 )
 
@@ -49,7 +48,8 @@ __all__ = [
     "load_ball",
 ]
 
-LETTERS = "tTaA"
+# the most words ``ball`` enumerates before raising LimitExceeded
+MAX_CANDIDATES = 10**8
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,11 @@ class BallIndex:
 
 
 @lru_cache(maxsize=32)
-def ball(params: GroupParams, radius: int, max_candidates: int = 10**8) -> BallIndex:
+def ball(params: GroupParams, radius: int) -> BallIndex:
     """Enumerate all words up to ``radius`` in length-lexicographic order."""
     count = (4 ** (radius + 1) - 1) // 3
-    if count > max_candidates:
-        raise LimitExceeded(f"{count} candidate words exceed limit {max_candidates}")
+    if count > MAX_CANDIDATES:
+        raise LimitExceeded(f"{count} candidate words exceed limit {MAX_CANDIDATES}")
     table: dict[AltWord, tuple[int, str]] = {}
     for n in range(radius + 1):
         for letters in itertools.product(LETTERS, repeat=n):
@@ -121,10 +121,6 @@ def load_ball(path: str, params: GroupParams, radius: int) -> BallIndex:
 # peak normal forms by bounded enumeration
 # ---------------------------------------------------------------------------
 
-def _norm_from_ball(alpha: int, index: BallIndex) -> int:
-    return oracle_geolen(alt_from_int(alpha), index)
-
-
 def oracle_britton_pnf(
     w: AltWord,
     params: GroupParams,
@@ -155,9 +151,10 @@ def oracle_britton_pnf(
     tgt = target_word.alpha
     theta = red.theta
 
-    norms = {}
-    for a in range(-coeff_max, coeff_max + 1):
-        norms[a] = _norm_from_ball(a, index)
+    norms = {
+        a: oracle_geolen(alt_from_int(a), index)
+        for a in range(-coeff_max, coeff_max + 1)
+    }
 
     def candidates_with_norm(total: int) -> list[tuple[int, ...]]:
         found: list[tuple[int, ...]] = []
@@ -209,16 +206,7 @@ def oracle_britton_pnf(
     else:
         raise LimitExceeded("no representative found within the bounds")
 
-    peak = peak_position(red)
-
-    def split_key(coeffs: tuple[int, ...]) -> tuple:
-        syms = AltWord(coeffs, theta).symbols()
-        return (
-            tuple(sym_key(s) for s in syms[: 2 * peak]),
-            tuple(sym_key(s) for s in involute_symbols(syms[2 * peak + 1 :])),
-        )
-
-    best = min(tuples, key=split_key)
+    best = min(tuples, key=lambda coeffs: peak_key(AltWord(coeffs, theta)))
     word = AltWord(best, theta)
     if not is_britton_reduced(word, params):
         raise InternalError("enumerated pnf is not Britton-reduced")

@@ -13,30 +13,35 @@ normal form.
 ``peak_wrap_pnf`` reduces a word with flanks  alpha_1 t ... alpha_k t D
 T beta_1 ... T beta_m  to normal forms of a bounded family of core words
 rho D' delta with |rho|, |delta| <= r: after a carry pass brings all flank
-coefficients into [0, q), the left flank is peeled with
+coefficients into [0, q), the left flank is peeled from the outside in,
 
-    pnf(rho t X) = min { gamma t pnf((mu p + alpha') X) :
-                         rho = mu q + gamma, |gamma| < q }
+    pnf(x t X) = min { gamma t pnf((mu p + alpha') X) :
+                       x = mu q + gamma, |gamma| < q },
 
-and the right flank symmetrically (appended T gamma, minimising the
-reversed tail).  Read innermost first, the two flanks have the same shape,
-so one carry pass and one peel serve both.  All candidate words in one
-minimisation share their t-sequence, hence their peak position, so
-candidates compare by (norm, u_1 symbols, reversed-u_2 symbols).  The
-core family is memoised; horocyclic cores are immediate, difficult cores
-are delegated to the caller-supplied solver.
+and the right flank alike, read from its outer end.  Each flank is peeled
+once, by a forward rank DP like ``slope_llnf``'s: a level maps each carry
+to the norm of its least path and a back-pointer, and the carries of a
+level are ranked by (predecessor rank, token), which is the lexicographic
+order of their paths.  The core is solved once per pair (rho, delta) of
+final carries, and the pair that wins on (norm, left rank, core pre-peak
+key, right rank, core reversed post-peak key) is spelled from the
+back-pointers.  This is exact: norms add; all paths through a flank emit
+the same number of tokens and a path's tokens fix its carry, so distinct
+carries get distinct ranks and the core keys only break ties between equal
+carries.  Horocyclic cores are immediate, difficult cores are delegated to
+the caller-supplied solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import stats
-from .britton import Decomposition, classify, decompose
+from .britton import Decomposition, decompose
 from .errors import InternalError, NotAHill
 from .horocyclic import int_llnf, int_norm, norm, r_llnf, residues_mod
-from .words import AltWord, GroupParams, involute_symbols, peak_position, sym_key
+from .words import AltWord, GroupParams, peak_key, peak_position, sym_key
 
 __all__ = ["BrittonPnf", "make_britton_pnf", "flatten_pnf", "peak_wrap_pnf", "hill_pnf"]
 
@@ -82,54 +87,6 @@ def flatten_pnf(b: BrittonPnf, params: GroupParams) -> str:
 
 
 # ---------------------------------------------------------------------------
-# DP values
-# ---------------------------------------------------------------------------
-
-class _Val(NamedTuple):
-    norm: int
-    u1key: tuple
-    u2key: tuple
-    word: AltWord
-
-
-def _order_key(v: _Val) -> tuple:
-    # symbol-count first on both components keeps this a true
-    # length-lexicographic comparison even for unequal key lengths
-    return (v.norm, len(v.u1key), v.u1key, len(v.u2key), v.u2key)
-
-
-def _val_from_pnf(b: BrittonPnf) -> _Val:
-    u1key = tuple(sym_key(s) for s in b.u1)
-    u2key = tuple(sym_key(s) for s in involute_symbols(b.u2))
-    return _Val(b.norm, u1key, u2key, b.word)
-
-
-_T_KEY = sym_key("t")
-
-
-def _prepend(v: _Val, gamma: int, params: GroupParams) -> _Val:
-    stats.ops.tick()
-    word = AltWord((gamma,) + v.word.alpha, "t" + v.word.theta)
-    return _Val(
-        int_norm(gamma, params) + 1 + v.norm,
-        (sym_key(gamma), _T_KEY) + v.u1key,
-        v.u2key,
-        word,
-    )
-
-
-def _append(v: _Val, gamma: int, params: GroupParams) -> _Val:
-    stats.ops.tick()
-    word = AltWord(v.word.alpha + (gamma,), v.word.theta + "T")
-    return _Val(
-        v.norm + 1 + int_norm(gamma, params),
-        v.u1key,
-        (sym_key(-gamma), _T_KEY) + v.u2key,
-        word,
-    )
-
-
-# ---------------------------------------------------------------------------
 # flank peeling
 # ---------------------------------------------------------------------------
 
@@ -138,7 +95,7 @@ def _carry_flank(flank, params: GroupParams) -> tuple[list[int], int]:
 
     a^(mu q) t ~ t a^(mu p) moves left-flank excess inward, and T a^(mu q)
     ~ a^(mu p) T moves right-flank excess inward.  Returns the reduced
-    coefficients innermost first and the carry left for the core.  The
+    coefficients outermost first and the carry left for the core.  The
     carry is a multiple of p, so the core's boundary residues mod p, and
     with them Britton-reducedness, are preserved.
     """
@@ -148,7 +105,50 @@ def _carry_flank(flank, params: GroupParams) -> tuple[list[int], int]:
         mu, rem = divmod(a + carry, params.q)
         out.append(rem)
         carry = mu * params.p
-    return out[::-1], carry
+    return out, carry
+
+
+def _peel(flank: list[int], sign: int, params: GroupParams) -> tuple[dict, list[dict]]:
+    """The forward rank DP over one flank, coefficients outermost first.
+
+    A state is the carry into the next coefficient.  Peeling x = mu q +
+    gamma emits the token gamma t (left, ``sign`` +1) or, read from the
+    outside, -gamma t (right, ``sign`` -1) and carries mu p inward.  A
+    candidate for a carry is (norm, pred rank, token key, gamma, pred carry)
+    and the least one wins; the carries are then ranked by (pred rank, token
+    key), the lexicographic order of their paths.  Returns the last level
+    as carry -> (norm, rank), and per level the back-pointers carry ->
+    (gamma, pred carry).
+    """
+    p, q, r = params.p, params.q, r_llnf(params)
+    states = {0: (0, 0)}
+    levels = []
+    for a in flank:
+        best: dict[int, tuple] = {}
+        for carry, (n, rank) in states.items():
+            x = carry + a
+            if abs(x) > r:
+                raise InternalError("flank peel escaped the table radius")
+            for gamma in residues_mod(x, q):
+                stats.ops.tick()
+                nxt = (x - gamma) // q * p
+                n_cand = n + int_norm(gamma, params) + 1
+                cand = (n_cand, rank, sym_key(sign * gamma), gamma, carry)
+                if nxt not in best or cand < best[nxt]:
+                    best[nxt] = cand
+        order = sorted(best, key=lambda c: best[c][1:3])
+        states = {c: (best[c][0], rank) for rank, c in enumerate(order)}
+        levels.append({c: v[3:] for c, v in best.items()})
+    return states, levels
+
+
+def _spell(levels: list[dict], carry: int) -> list[int]:
+    """The gammas of the least path to ``carry``, outermost first."""
+    out = []
+    for level in reversed(levels):
+        gamma, carry = level[carry]
+        out.append(gamma)
+    return out[::-1]
 
 
 def _wrap_flanks(
@@ -156,71 +156,30 @@ def _wrap_flanks(
     core_solver: Callable[[AltWord], BrittonPnf],
     params: GroupParams,
 ) -> BrittonPnf:
-    # both flanks innermost first: the left one read right to left
     left, rho_carry = _carry_flank(dec.alphas, params)
     right, delta_carry = _carry_flank(dec.betas[::-1], params)
-    core_alpha = list(dec.core.alpha)
-    core_alpha[0] += rho_carry
-    core_alpha[-1] += delta_carry
-    core = AltWord(tuple(core_alpha), dec.core.theta)
-    p, q = params.p, params.q
-    r = r_llnf(params)
-
-    core_cache: dict[tuple[int, int], _Val] = {}
-
-    def core_val(rho: int, delta: int) -> _Val:
-        key = (rho, delta)
-        if key not in core_cache:
-            ca = list(core.alpha)
-            ca[0] += rho
-            ca[-1] += delta
-            core_cache[key] = _val_from_pnf(core_solver(AltWord(tuple(ca), core.theta)))
-        return core_cache[key]
-
-    def moves(flank: list[int], i: int, x: int) -> list[tuple[int, int]]:
-        """Peeling x = mu q + gamma at level i leaves mu p + the next coefficient."""
-        cons = flank[i - 2] if i >= 2 else 0
-        out = []
-        for gamma in residues_mod(x, q):
-            nxt = (x - gamma) // q * p + cons
-            if abs(nxt) > r:
-                raise InternalError("flank peel escaped the table radius")
-            out.append((gamma, nxt))
-        return out
-
-    def reachable(flank: list[int]) -> list[set[int]]:
-        """Which outer coefficients are reachable at each level."""
-        sets: list[set[int]] = [set() for _ in flank] + [{flank[-1] if flank else 0}]
-        for i in range(len(flank), 0, -1):
-            for x in sets[i]:
-                sets[i - 1].update(nxt for _, nxt in moves(flank, i, x))
-        return sets
-
-    def peel(level: dict[int, _Val], flank, sets, join) -> _Val:
-        for i in range(1, len(flank) + 1):
-            nxt_level = {}
-            for x in sets[i]:
-                best = None
-                for gamma, inner in moves(flank, i, x):
-                    cand = join(level[inner], gamma, params)
-                    if best is None or _order_key(cand) < _order_key(best):
-                        best = cand
-                nxt_level[x] = best
-            level = nxt_level
-        (top,) = sets[-1]
-        return level[top]
-
-    left_sets, right_sets = reachable(left), reachable(right)
-    level = {
-        rho: peel(
-            {delta: core_val(rho, delta) for delta in right_sets[0]},
-            right,
-            right_sets,
-            _append,
-        )
-        for rho in left_sets[0]
-    }
-    return make_britton_pnf(peel(level, left, left_sets, _prepend).word, params)
+    left_states, left_levels = _peel(left, 1, params)
+    right_states, right_levels = _peel(right, -1, params)
+    core = dec.core
+    best = None
+    for rho, (left_norm, left_rank) in left_states.items():
+        for delta, (right_norm, right_rank) in right_states.items():
+            alpha = list(core.alpha)
+            alpha[0] += rho_carry + rho
+            alpha[-1] += delta_carry + delta
+            b = core_solver(AltWord(tuple(alpha), core.theta))
+            pre, post = peak_key(b.word)
+            key = (left_norm + b.norm + right_norm, left_rank, pre, right_rank, post)
+            if best is None or key < best[0]:
+                best = (key, rho, delta, b.word)
+    _, rho, delta, w = best
+    left_gammas = _spell(left_levels, rho)
+    right_gammas = _spell(right_levels, delta)[::-1]
+    word = AltWord(
+        (*left_gammas, *w.alpha, *right_gammas),
+        "t" * len(left_gammas) + w.theta + "T" * len(right_gammas),
+    )
+    return make_britton_pnf(word, params)
 
 
 def peak_wrap_pnf(
@@ -233,7 +192,7 @@ def peak_wrap_pnf(
     ``core_solver`` receives Britton-reduced words rho D delta (the core D
     of u with its boundary coefficients shifted) and must return their
     Britton peak normal forms; it is consulted for a bounded number of
-    (rho, delta) pairs and its results are memoised per call.
+    (rho, delta) pairs, once for each.
     """
     return _wrap_flanks(decompose(u, params), core_solver, params)
 
@@ -251,7 +210,7 @@ def horocyclic_core_solver(params: GroupParams) -> Callable[[AltWord], BrittonPn
 
 def hill_pnf(u: AltWord, params: GroupParams) -> BrittonPnf:
     """Peak normal form of a hill (t-sequence t^k T^m), in linear time."""
-    c = classify(u, params)
-    if not (c.horocyclic or c.hill):
-        raise NotAHill(f"classification is {c.label!r}")
-    return peak_wrap_pnf(u, horocyclic_core_solver(params), params)
+    dec = decompose(u, params)
+    if dec.core.theta:
+        raise NotAHill(f"core {dec.core} is not horocyclic")
+    return _wrap_flanks(dec, horocyclic_core_solver(params), params)

@@ -88,9 +88,6 @@ class AltWord:
         return render_word(self)
 
 
-IDENTITY = AltWord()
-
-
 def alt_from_int(n: int) -> AltWord:
     """The horocyclic word a^n as an AltWord."""
     return AltWord((n,))
@@ -169,11 +166,6 @@ def involute_symbols(syms) -> list:
         -s if isinstance(s, int) else s.translate(_INVOLUTE_LETTER)
         for s in reversed(syms)
     ]
-
-
-def involute_raw(w: str) -> str:
-    """Formal inverse of a letter word."""
-    return w[::-1].translate(_INVOLUTE_LETTER)
 
 
 def word_length(u: AltWord) -> int:
@@ -306,11 +298,6 @@ def render_word(u: AltWord) -> str:
     return "".join(out)
 
 
-def render_raw(w: str) -> str:
-    """Render a letter word in the compact notation."""
-    return render_word(to_alt(w))
-
-
 # ---------------------------------------------------------------------------
 # orders
 # ---------------------------------------------------------------------------
@@ -339,16 +326,23 @@ def sym_key(s) -> tuple[int, int, int]:
     return (2, abs(s), 0 if s >= 0 else 1)
 
 
-def delta_symbols(x) -> list:
-    """Symbol sequence of an AltWord, or a symbol list passed through."""
-    if isinstance(x, AltWord):
-        return x.symbols()
-    return list(x)
+def peak_key(u: AltWord) -> tuple[tuple, tuple]:
+    """Peak-order key: symbol keys before the peak, then involuted ones after it.
+
+    Words with one t-sequence share their peak, so comparing these keys
+    compares pre-peak parts and then reversed post-peak parts symbol-wise.
+    """
+    i = peak_position(u)
+    syms = u.symbols()
+    return (
+        tuple(sym_key(s) for s in syms[: 2 * i]),
+        tuple(sym_key(s) for s in involute_symbols(syms[2 * i + 1 :])),
+    )
 
 
 def delta_key(x) -> tuple:
     """Sort key for the order cmp_delta (symbol count first, then symbols)."""
-    syms = delta_symbols(x)
+    syms = x.symbols() if isinstance(x, AltWord) else list(x)
     return (len(syms), tuple(sym_key(s) for s in syms))
 
 

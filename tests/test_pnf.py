@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import random
+
 from conftest import P12, P13, P23, P24, iter_words, random_alt
+from reference_peel import reference_wrap_flanks
 
 import pytest
 
 from bsgeo import (
     AltWord,
     NotAHill,
+    GroupParams,
     ball,
     britton_reduce,
     classify,
+    decompose,
+    difficult_pnf,
     equal,
     flatten_pnf,
     hill_pnf,
@@ -23,7 +29,7 @@ from bsgeo import (
     peak_wrap_pnf,
     to_alt,
 )
-from bsgeo.pnf import horocyclic_core_solver
+from bsgeo.pnf import _wrap_flanks, horocyclic_core_solver
 
 APPENDIX = to_alt(parse_word("7t14T-2tt9T2T23"))
 
@@ -155,3 +161,46 @@ class TestSymmetry:
             b = hill_pnf(u, P13)
             again = hill_pnf(to_alt(flatten_pnf(b, P13)), P13)
             assert again.word == b.word
+
+
+class TestFlankPeelReference:
+    # exact words against the value-copying peel, on flanks far longer than
+    # the enumeration oracle reaches
+
+    @staticmethod
+    def _flanked(rng, core_theta, core_max, flank_max=40, coeff_max=10**6):
+        k, m = rng.randint(0, flank_max), rng.randint(0, flank_max)
+        alpha = [rng.randint(-coeff_max, coeff_max) for _ in range(k)]
+        alpha += [rng.randint(-core_max, core_max) for _ in range(len(core_theta) + 1)]
+        alpha += [rng.randint(-coeff_max, coeff_max) for _ in range(m)]
+        return AltWord(tuple(alpha), "t" * k + core_theta + "T" * m)
+
+    def _check(self, dec, solver, params):
+        got = _wrap_flanks(dec, solver, params)
+        want = reference_wrap_flanks(dec, solver, params)
+        assert (got.word, got.norm) == (want.word, want.norm), dec
+
+    def test_random_hills(self):
+        rng = random.Random(8)
+        for params in (P23, GroupParams(3, 5), P13, P24):
+            solver = horocyclic_core_solver(params)
+            for _ in range(60):
+                coeff_max = rng.choice((10, 1000, 10**6))
+                u = self._flanked(rng, "", coeff_max, coeff_max=coeff_max)
+                self._check(decompose(u, params), solver, params)
+
+    def test_flanks_around_difficult_cores(self):
+        rng = random.Random(9)
+
+        def solver(w):
+            return difficult_pnf(w, P24)
+
+        compared = 0
+        while compared < 300:
+            core = "T" + "".join(rng.choice("tT") for _ in range(rng.randint(0, 3))) + "t"
+            u = self._flanked(rng, core, 12, coeff_max=rng.choice((10, 10**6)))
+            dec = decompose(u, P24)
+            if not dec.core.theta:
+                continue  # Britton reduction left no difficult core
+            self._check(dec, solver, P24)
+            compared += 1
