@@ -315,6 +315,10 @@ def main(argv: list[str] | None = None) -> int:
         # cannot even be allocated
         print(f"error: coefficient too large to expand ({exc})", file=sys.stderr)
         return 1
+    except MemoryError:
+        # the same expansion can also ask for more memory than there is
+        print("error: out of memory expanding the coefficients into letters", file=sys.stderr)
+        return 1
     finally:
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)

@@ -37,10 +37,17 @@ ending with t) is:
 
    Minima are taken in the normal-form order (norm first, then the symbol
    order on the part before the peak, which for these words is everything
-   up to the trailing coefficient).  Family words are kept as
-   structure-sharing rope nodes; within one tree node all candidates share
-   their t-sequence, and words for different shifts rho differ, so each
-   node's words get strict ranks and comparisons cost O(1).
+   up to the trailing coefficient).  The pass is a rank DP like
+   ``slope_llnf``'s.  Within one tree node all candidates share their
+   t-sequence, so the symbol order is decided by (key of alpha', child
+   rank, key of beta') at an arc and by (left rank, right rank) at a
+   concatenation, where an integer a has key 2|a| + (a < 0), the order of
+   ``sym_key``.  Per rho a node keeps its least (norm, key) tuple and a
+   back-pointer, one plain sort of the winners by key gives the node's
+   ranks, and only the winners become structure-sharing rope nodes.  The
+   words for different shifts rho differ, so the ranks are strict.  The
+   norms and keys of the coefficients, all below q, come from one table
+   per group (``horocyclic._small_ints``).
 
 4. pnf(v) = min { V_rho llnf(rho + gamma) : rho in R(V) }.
 
@@ -51,7 +58,7 @@ of levels) are fine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable
 
 from . import stats
@@ -64,7 +71,7 @@ from .errors import (
     RequiresDivides,
     UnsupportedCase,
 )
-from .horocyclic import int_norm, residues_mod
+from .horocyclic import _small_ints, int_norm, residues_mod
 from .pnf import (
     BrittonPnf,
     _wrap_flanks,
@@ -78,7 +85,6 @@ from .words import (
     alt_from_symbols,
     height_profile,
     involute,
-    sym_key,
     to_alt,
 )
 
@@ -316,108 +322,67 @@ def is_standard_valley(V: AltWord, params: GroupParams) -> bool:
 # ranges and families
 # ---------------------------------------------------------------------------
 
-def _eps_options(alpha: int, p: int) -> tuple[int, ...]:
-    return tuple(e for e in (-1, 0, 1) if abs(alpha - e * p) < p)
+Family = list[tuple[int, int, tuple]]
+"""A node's family in rank order: (rho, norm, rope) per shift rho."""
 
 
-class _Rope:
-    """Structure-sharing family word; ``rank`` orders words within a node."""
+def _families(tree: ValleyTree, params: GroupParams) -> list[Family]:
+    """Per node the least word V_rho for every rho in its range, ranked.
 
-    __slots__ = ("kind", "a", "b", "c", "norm", "rank")
-
-    def __init__(self, kind, a=None, b=None, c=None, norm=0):
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self.c = c
-        self.norm = norm
-        self.rank = 0
-
-
-_EMPTY = _Rope("leaf")
-
-
-def _u1_cmp(x: _Rope, y: _Rope) -> int:
-    """Symbol order of the pre-peak parts; O(1) through child ranks."""
-    if x is y:
-        return 0
-    stats.ops.tick()
-    if x.kind == "arc":
-        if x.a != y.a:
-            return -1 if sym_key(x.a) < sym_key(y.a) else 1
-        if x.b is not y.b:
-            return -1 if x.b.rank < y.b.rank else 1
-        if x.c != y.c:
-            return -1 if sym_key(x.c) < sym_key(y.c) else 1
-        return 0
-    if x.kind == "cat":
-        if x.a is not y.a:
-            return -1 if x.a.rank < y.a.rank else 1
-        if x.b is not y.b:
-            return -1 if x.b.rank < y.b.rank else 1
-        return 0
-    return 0
-
-
-def _rope_less(x: _Rope, y: _Rope) -> bool:
-    if x.norm != y.norm:
-        return x.norm < y.norm
-    return _u1_cmp(x, y) < 0
-
-
-def _families(tree: ValleyTree, params: GroupParams) -> list[dict[int, _Rope]]:
-    """Per node the map rho -> best word V_rho, ropes ranked per node."""
+    The rank DP of step 3 in the module docstring.  A candidate is a tuple
+    (norm, key..., back-pointer...), and a rope is built only for each
+    rho's winner.  Ropes are the views ``_walk_symbols`` reads: ("leaf", 0),
+    ("arc", alpha', child rope, beta') or ("cat", left rope, right rope).
+    """
     p, q = params.p, params.q
-    fams: list[dict[int, _Rope]] = []
+    small = _small_ints(params)
+    fams: list[Family] = []
     for node in tree.nodes:
         if node.kind == "leaf":
-            fam: dict[int, _Rope] = {0: _EMPTY}
-        elif node.kind == "arc":
-            fam = {}
-            child_fam = fams[node.child]
-            for sigma, crope in child_fam.items():
-                for eps in _eps_options(node.alpha, p):
-                    ap2 = node.alpha - eps * p
-                    x = sigma + eps * q + node.beta
-                    for b2 in residues_mod(x, q):
-                        stats.ops.tick()
-                        rho = ((x - b2) // q) * p
-                        cand = _Rope(
-                            "arc",
-                            ap2,
-                            crope,
-                            b2,
-                            crope.norm
-                            + int_norm(ap2, params)
-                            + int_norm(b2, params)
-                            + 2,
-                        )
-                        cur = fam.get(rho)
-                        if cur is None or _rope_less(cand, cur):
-                            fam[rho] = cand
+            fams.append([(0, 0, ("leaf", 0))])
+            continue
+        best: dict[int, tuple] = {}
+        if node.kind == "arc":
+            child = fams[node.child]
+            n_cands = 0
+            for eps in (-1, 0, 1):
+                ap = node.alpha - eps * p
+                if abs(ap) >= p:
+                    continue
+                an, ak = small[ap]
+                shift = eps * q + node.beta
+                for rank, (sigma, n, _) in enumerate(child):
+                    x = sigma + shift
+                    bs = residues_mod(x, q)
+                    n_cands += len(bs)
+                    for b in bs:
+                        bn, bk = small[b]
+                        cand = (n + an + bn + 2, ak, rank, bk, ap, b)
+                        rho = (x - b) // q * p
+                        cur = best.get(rho)
+                        if cur is None or cand < cur:
+                            best[rho] = cand
+            winners = sorted(best.items(), key=lambda kv: kv[1][1:4])
+            fam = [(rho, c[0], ("arc", c[4], child[c[2]][2], c[5])) for rho, c in winners]
         else:
-            fam = {}
-            for sigma, lrope in fams[node.left].items():
-                for tau, rrope in fams[node.right].items():
-                    stats.ops.tick()
-                    rho = sigma + tau
-                    cand = _Rope("cat", lrope, rrope, None, lrope.norm + rrope.norm)
-                    cur = fam.get(rho)
-                    if cur is None or _rope_less(cand, cur):
-                        fam[rho] = cand
-        if len(fam) > 1:
-            for rank, rope in enumerate(sorted(fam.values(), key=cmp_to_key(_u1_cmp))):
-                rope.rank = rank
+            left, right = fams[node.left], fams[node.right]
+            n_cands = len(left) * len(right)
+            # pairs come in (left rank, right rank) order: the first least norm wins
+            for lrank, (sigma, ln, _) in enumerate(left):
+                for rrank, (tau, rn, _) in enumerate(right):
+                    n = ln + rn
+                    cur = best.get(sigma + tau)
+                    if cur is None or n < cur[0]:
+                        best[sigma + tau] = (n, lrank, rrank)
+            winners = sorted(best.items(), key=lambda kv: kv[1][1:])
+            fam = [(rho, c[0], ("cat", left[c[1]][2], right[c[2]][2])) for rho, c in winners]
+        stats.ops.tick(n_cands)
         fams.append(fam)
     return fams
 
 
-def _rope_view(rope: _Rope) -> tuple:
-    if rope.kind == "leaf":
-        return ("leaf", 0)
-    if rope.kind == "arc":
-        return ("arc", rope.a, rope.b, rope.c)
-    return ("cat", rope.a, rope.b)
+def _rope_symbols(rope: tuple) -> list:
+    return _walk_symbols(rope, lambda node: node)
 
 
 def _parse_standard(V: AltWord, params: GroupParams) -> ValleyTree:
@@ -430,18 +395,15 @@ def range_of(V: AltWord, params: GroupParams) -> tuple[int, ...]:
     """The shift range R(V) of a standard valley (sorted multiples of p)."""
     _require_divides(params)
     tree = _parse_standard(V, params)
-    return tuple(sorted(_families(tree, params)[tree.root]))
+    return tuple(sorted(rho for rho, _, _ in _families(tree, params)[tree.root]))
 
 
 def valley_family(V: AltWord, params: GroupParams) -> dict[int, tuple[AltWord, int]]:
     """All shifted normal forms: rho -> (V_rho, norm) with V ~ V_rho a^rho."""
     _require_divides(params)
     tree = _parse_standard(V, params)
-    fams = _families(tree, params)
-    out = {}
-    for rho, rope in fams[tree.root].items():
-        out[rho] = (alt_from_symbols(_walk_symbols(rope, _rope_view)), rope.norm)
-    return out
+    root = _families(tree, params)[tree.root]
+    return {rho: (alt_from_symbols(_rope_symbols(rope)), n) for rho, n, rope in root}
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +417,11 @@ def valley_pnf(v: AltWord, params: GroupParams) -> BrittonPnf:
         return make_britton_pnf(w, params)
     V, gamma = _standard_split(w, params)
     tree = valley_parse(V)
-    best = None
-    for rho, rope in _families(tree, params)[tree.root].items():
-        stats.ops.tick()
-        key = (rope.norm + int_norm(rho + gamma, params), rope.rank)
-        if best is None or key < best[0]:
-            best = (key, rho, rope)
-    _, rho, rope = best
-    syms = _walk_symbols(rope, _rope_view)
+    root = _families(tree, params)[tree.root]
+    stats.ops.tick(len(root))
+    # the family is in rank order, and min keeps the first of equal norms
+    rho, _, rope = min(root, key=lambda f: f[1] + int_norm(f[0] + gamma, params))
+    syms = _rope_symbols(rope)
     syms[-1] += rho + gamma
     return make_britton_pnf(alt_from_symbols(syms), params)
 

@@ -422,7 +422,7 @@ def reconstruct_from_matrix(matrix: Matrix, rho: int) -> str:
     return "".join(reversed(parts))
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 10)
 def _int_llnf_cached(alpha: int, params: GroupParams) -> str:
     ell, slope = greedy_slope(alpha, params)
     return "t" * ell + slope_llnf(slope, params)
@@ -438,9 +438,26 @@ def int_norm(alpha: int, params: GroupParams) -> int:
     return len(_int_llnf_cached(alpha, params))
 
 
+@lru_cache(maxsize=None)
+def _small_ints(params: GroupParams) -> dict[int, tuple[int, int]]:
+    """a -> (||a||, 2|a| + (a < 0)) for every |a| < q.
+
+    The second entry orders integers as ``words.sym_key`` does.  The DPs
+    over coefficients below q (the valley families and the flank peel) read
+    both from here, once per call, instead of hashing params per lookup.
+    """
+    q = params.q
+    return {a: (int_norm(a, params), 2 * abs(a) + (a < 0)) for a in range(1 - q, q)}
+
+
 def norm(u: AltWord, params: GroupParams) -> int:
     """||u|| = k + sum ||alpha_i||; an upper bound for the geodesic length."""
-    return len(u.theta) + sum(int_norm(a, params) for a in u.alpha)
+    small = _small_ints(params)
+    n = len(u.theta)
+    for a in u.alpha:
+        hit = small.get(a)
+        n += hit[0] if hit else int_norm(a, params)
+    return n
 
 
 def llnf_horocyclic(w: AltWord, params: GroupParams) -> str:

@@ -40,8 +40,8 @@ from typing import Callable
 from . import stats
 from .britton import Decomposition, decompose
 from .errors import InternalError, NotAHill
-from .horocyclic import int_llnf, int_norm, norm, r_llnf, residues_mod
-from .words import AltWord, GroupParams, peak_key, peak_position, sym_key
+from .horocyclic import _small_ints, int_llnf, norm, r_llnf, residues_mod
+from .words import AltWord, GroupParams, peak_key, peak_position
 
 __all__ = ["BrittonPnf", "make_britton_pnf", "flatten_pnf", "peak_wrap_pnf", "hill_pnf"]
 
@@ -121,6 +121,7 @@ def _peel(flank: list[int], sign: int, params: GroupParams) -> tuple[dict, list[
     (gamma, pred carry).
     """
     p, q, r = params.p, params.q, r_llnf(params)
+    small = _small_ints(params)
     states = {0: (0, 0)}
     levels = []
     for a in flank:
@@ -132,8 +133,8 @@ def _peel(flank: list[int], sign: int, params: GroupParams) -> tuple[dict, list[
             for gamma in residues_mod(x, q):
                 stats.ops.tick()
                 nxt = (x - gamma) // q * p
-                n_cand = n + int_norm(gamma, params) + 1
-                cand = (n_cand, rank, sym_key(sign * gamma), gamma, carry)
+                n_cand = n + small[gamma][0] + 1
+                cand = (n_cand, rank, small[sign * gamma][1], gamma, carry)
                 if nxt not in best or cand < best[nxt]:
                     best[nxt] = cand
         order = sorted(best, key=lambda c: best[c][1:3])

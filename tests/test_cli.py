@@ -117,6 +117,15 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_unallocatable_coefficient_is_a_clean_error(self):
+        # 10^15 < sys.maxsize, but its 10^15 letters cannot be allocated
+        proc = run_cli("--p", "1", "--q", "2", "geolen", str(10**15))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_output_beyond_default_digit_limit(self):
         # 2^40000 has 12042 digits, more than int/str converts by default
         proc = run_cli("--p", "1", "--q", "2", "britton", "t^40000 1 T^40000")

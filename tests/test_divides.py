@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
-from conftest import P12, P13, P23, P24, P26, iter_words, random_valley
+import random
+
+from conftest import P12, P13, P23, P24, P26, P36, iter_words, random_valley
+from reference_families import (
+    reference_families,
+    reference_valley_family,
+    reference_valley_pnf,
+)
 
 import pytest
 
 from bsgeo import (
     AltWord,
+    GroupParams,
     NotAValley,
     NotDifficult,
     RequiresDivides,
     UnsupportedCase,
     alt_concat,
     alt_from_int,
+    alt_from_symbols,
     ball,
     britton_reduce,
     classify,
@@ -39,6 +48,9 @@ from bsgeo import (
     valley_parse,
     valley_pnf,
 )
+from bsgeo import stats
+from bsgeo.divides import _families
+from bsgeo.horocyclic import _small_ints
 
 APPENDIX = "7t14T-2tt9T2T23"
 
@@ -348,3 +360,55 @@ class TestFullPnf:
         assert geodesic_length(parse_word(APPENDIX), P13) == 13
         assert geodesic_length("a" * 6, P13) == 4  # 2q ~ t 2p T
         assert geodesic_length("tT", P13) == 0
+
+
+class TestFamiliesReference:
+    # the rank DP against the rope-comparing families: words, norms, ranks,
+    # the candidate count and the valley pnf, on valleys far past the oracle
+
+    PAIRS = (P13, P24, P36, GroupParams(4, 8), P26, GroupParams(3, 9))
+
+    @staticmethod
+    def _family_style(rng, params, max_sinks=16, max_depth=8):
+        """A standard valley of up to max_sinks nests of arcs up to max_depth deep."""
+        p, q = params.p, params.q
+        word: list = [0]
+        for _ in range(rng.randint(1, max_sinks)):
+            syms: list = [0]
+            for _ in range(rng.randint(1, max_depth)):
+                a = rng.randint(1 - p, p - 1)
+                b = rng.choice([b for b in range(1 - q, q) if b])
+                syms = [a, "T"] + syms[:-1] + [syms[-1] + b, "t", 0]
+            word = word[:-1] + [word[-1] + syms[0]] + syms[1:]
+        return to_standard_valley(alt_from_symbols(word), params)[0]
+
+    def _check(self, v, params):
+        V, _ = to_standard_valley(v, params)
+        tree = valley_parse(V)
+        _small_ints(params)  # built once per group; its llnf calls tick too
+        stats.ops.reset()
+        fams = _families(tree, params)
+        ticks = stats.ops.reset()
+        ref, n_cands = reference_families(tree, params)
+        assert ticks == n_cands
+        for fam, ref_fam in zip(fams, ref):
+            assert [rho for rho, _, _ in fam] == sorted(ref_fam, key=lambda r: ref_fam[r].rank)
+            assert {rho: n for rho, n, _ in fam} == {r: rope.norm for r, rope in ref_fam.items()}
+        assert valley_family(V, params) == reference_valley_family(V, params)
+        assert range_of(V, params) == tuple(sorted(ref[tree.root]))
+        assert valley_pnf(v, params) == reference_valley_pnf(v, params), v
+
+    def test_family_style_valleys(self):
+        rng = random.Random(11)
+        for params in self.PAIRS:
+            for _ in range(6):
+                V = self._family_style(rng, params)
+                c = rng.randint(-10**4, 10**4)
+                self._check(alt_concat(V, alt_from_int(c)), params)
+
+    def test_random_reduced_valleys(self):
+        rng = random.Random(12)
+        for params in self.PAIRS:
+            for _ in range(100):
+                v = random_valley(rng, depth=rng.randint(2, 10), max_coeff=10**4)
+                self._check(britton_reduce(v, params), params)

@@ -33,7 +33,8 @@ from bsgeo import (
     alt_from_int,
 )
 from bsgeo import stats
-from bsgeo.horocyclic import _int_llnf_cached
+from bsgeo.horocyclic import _int_llnf_cached, _small_ints
+from bsgeo.words import sym_key
 
 # every pair with q <= 8 whose integer table builds in a few seconds; the
 # staircase search of base_table grows steeply with r, and the pairs left out,
@@ -223,6 +224,21 @@ class TestIntLlnf:
                 assert lead >= ell2
                 if alpha2 >= alpha:
                     assert ell2 >= ell
+
+    def test_cache_is_bounded(self):
+        alphas = range(1000, 2100)
+        _int_llnf_cached.cache_clear()
+        fresh = [int_llnf(a, P23) for a in alphas]
+        assert _int_llnf_cached.cache_info().currsize <= 1024
+        # the early alphas were evicted and are solved again, the rest are hits
+        assert [int_llnf(a, P23) for a in alphas] == fresh
+
+    def test_small_int_table(self):
+        for params in (P12, P13, P23, P24, P36):
+            small = _small_ints(params)
+            assert sorted(small) == list(range(1 - params.q, params.q))
+            assert all(n == int_norm(a, params) for a, (n, _) in small.items())
+            assert sorted(small, key=lambda a: small[a][1]) == sorted(small, key=sym_key)
 
 
 class TestLlnfHorocyclic:
