@@ -24,7 +24,7 @@ from .britton import (
     is_britton_reduced,
     t_sequence,
 )
-from .canonical import bs_step, canonical_form, equal
+from .canonical import canonical_form, equal
 from .divides import (
     ValleyNode,
     ValleyTree,

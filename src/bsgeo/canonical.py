@@ -16,16 +16,13 @@ forms are used as hash keys by the brute-force oracle.
 coefficients in a single left-to-right carry pass: the irreducible words
 are exactly those whose coefficient before each t lies in [0, q), whose
 coefficient before each T lies in [0, p), and which contain no adjacent
-t T or T t pair.  ``bs_step`` applies single letter-level rules and exists
-only for small-scale confluence checks; irreducible descendants can be
-exponentially longer than the input in unary.
+t T or T t pair.
 """
 
 from __future__ import annotations
 
 from . import stats
-from .errors import LimitExceeded
-from .words import AltWord, GroupParams, alt_concat, involute, to_alt
+from .words import AltWord, GroupParams
 
 
 def canonical_form(u: AltWord, params: GroupParams) -> AltWord:
@@ -62,84 +59,3 @@ def canonical_form(u: AltWord, params: GroupParams) -> AltWord:
 def equal(u: AltWord, v: AltWord, params: GroupParams) -> bool:
     """Equality in BS(p, q), decided via canonical forms."""
     return canonical_form(u, params) == canonical_form(v, params)
-
-
-def equal_via_inverse(u: AltWord, v: AltWord, params: GroupParams) -> bool:
-    """Equality decided by Britton-reducing u * v^-1 to the empty word.
-
-    Cross-checks ``equal`` along an independent route.
-    """
-    from .britton import britton_reduce  # local import avoids a cycle
-
-    red = britton_reduce(alt_concat(u, involute(v)), params)
-    return red.theta == "" and red.alpha == (0,)
-
-
-# ---------------------------------------------------------------------------
-# letter-level rules, for demonstration and confluence spot checks only
-# ---------------------------------------------------------------------------
-
-def _match_rule(w: str, i: int, params: GroupParams) -> tuple[int, str] | None:
-    """If some rule's left side starts at position i, return (lhs_len, rhs)."""
-    p, q = params.p, params.q
-    c = w[i]
-    nxt = w[i + 1] if i + 1 < len(w) else ""
-    if c == "a" and nxt == "A":
-        return (2, "")
-    if c == "A" and nxt == "a":
-        return (2, "")
-    if c == "t" and nxt == "T":
-        return (2, "")
-    if c == "T" and nxt == "t":
-        return (2, "")
-    if c == "a" and w[i : i + q] == "a" * q and w[i + q : i + q + 1] == "t":
-        return (q + 1, "t" + "a" * p)
-    if c == "A" and nxt == "t":
-        return (2, "a" * (q - 1) + "t" + "A" * p)
-    if c == "a" and w[i : i + p] == "a" * p and w[i + p : i + p + 1] == "T":
-        return (p + 1, "T" + "a" * q)
-    if c == "A" and nxt == "T":
-        return (2, "a" * (p - 1) + "T" + "A" * q)
-    return None
-
-
-def bs_step(w: str, params: GroupParams) -> str | None:
-    """Apply the leftmost applicable rewriting rule once, if any.
-
-    Returns the rewritten letter word, or None when w is irreducible.
-    """
-    for i in range(len(w)):
-        m = _match_rule(w, i, params)
-        if m is not None:
-            n, rhs = m
-            return w[:i] + rhs + w[i + n :]
-    return None
-
-
-def bs_matches(w: str, params: GroupParams) -> list[int]:
-    """All positions where some rule applies (for randomised reductions)."""
-    return [i for i in range(len(w)) if _match_rule(w, i, params) is not None]
-
-
-def bs_step_at(w: str, i: int, params: GroupParams) -> str:
-    """Apply the rule matching at position i (which must exist)."""
-    m = _match_rule(w, i, params)
-    if m is None:
-        raise ValueError(f"no rule applies at position {i}")
-    n, rhs = m
-    return w[:i] + rhs + w[i + n :]
-
-
-def bs_normal_form(w: str, params: GroupParams, max_steps: int = 100_000) -> str:
-    """Iterate bs_step to the irreducible descendant (tiny inputs only)."""
-    for _ in range(max_steps):
-        nxt = bs_step(w, params)
-        if nxt is None:
-            return w
-        w = nxt
-    raise LimitExceeded(f"no normal form within {max_steps} steps")
-
-
-def canonical_matches_letters(w: str, params: GroupParams) -> bool:
-    """Check canonical_form against the letter-level normal form."""
-    return canonical_form(to_alt(w), params) == to_alt(bs_normal_form(w, params))

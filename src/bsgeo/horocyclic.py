@@ -19,7 +19,10 @@ positive integer with r >= p*(r+q-1)/q + q - 1; the recurrence
     llnf(u(i+1, rho)) = min { llnf(u(i, mu*p + beta_i)) T gamma :
                               rho = mu*q + gamma, |gamma| < q }
 
-bottoms out in a precomputed table of llnf(rho) for |rho| <= r + q.
+starts from llnf(rho) for |rho| <= r + q.  That integer table
+(``base_table``) is the same DP run on the zero slope 0 T 0 ... T 0, one
+``_column_step`` per level, so every integer's llnf comes from this one
+recurrence.
 
 Three implementations of this DP agree letter for letter:
 
@@ -62,7 +65,7 @@ from functools import lru_cache
 
 from . import stats
 from .britton import britton_reduce
-from .errors import InternalError, NotHorocyclic, PreconditionError
+from .errors import InternalError, LimitExceeded, NotHorocyclic, PreconditionError
 from .words import _LL_RANK, AltWord, GroupParams, _run, ll_key, to_alt
 
 __all__ = [
@@ -97,48 +100,43 @@ def residues_mod(x: int, m: int) -> tuple[int, ...]:
     return (g, g - m) if g else (0,)
 
 
+# the widest integer table ``base_table`` builds before raising LimitExceeded
+MAX_TABLE_RADIUS = 500
+
+
 @lru_cache(maxsize=None)
 def base_table(params: GroupParams) -> dict[int, str]:
     """llnf(rho) for small integers, |rho| <= r_llnf(params) + 2q - 1.
 
-    The slope DP only ever looks up |rho| <= r + q; the table is sized a
-    little wider so that all integers with |rho| < 2q plus the full shifted
-    range are covered directly.  Geodesics of integers that use the letter
-    t at all can be written as t^j a0 T a1 ... T aj, and the
-    length-lexicographic minimum is of that staircase shape (leading t's
-    are the cheapest letters).  The table is therefore an exhaustive search
-    over staircase candidates no longer than the unary spelling, seeded
-    with the unary words.
+    The slope DP looks up |rho| <= r + q; the wider table also covers every
+    |rho| < 2q.  An llnf that uses t is a staircase t^j a0 T a1 ... T aj,
+    i.e. t^j and a word of the zero slope 0 T ... T 0.  So column 0 holds
+    the unary words, column j is ``_column_step`` (beta = 0) of column
+    j - 1, and each entry is the ll-least of t^j + column j over all j.  A
+    per-column minimum is exact because shortlex forms are prefix-closed:
+    a common suffix keeps the ll order of two words.  Values stay within
+    the table, and each step appends T a^gamma only for the residues
+    |gamma| < q of rho mod q.  The staircase search that tries every run
+    length (``tests/reference_base_table.py``) gives the same table on
+    every pair with q <= 8 and r <= 36, and the tests pin both restrictions
+    against it.
+
+    The build time grows about as radius^2.3 (0.3 s at radius 231, 2 s at
+    ``MAX_TABLE_RADIUS``); wider tables raise ``LimitExceeded`` at once.
     """
-    p, q = params.p, params.q
-    bound = r_llnf(params) + 2 * q - 1
-    best = {rho: _run(rho) for rho in range(-bound, bound + 1)}
-
-    def consider(val: int, word: str) -> None:
-        if -bound <= val <= bound and ll_key(word) < ll_key(best[val]):
-            best[val] = word
-
-    lmax = bound  # candidates longer than the unary spelling never win
-    for j in range(1, lmax // 2 + 1):
-        budget = lmax - 2 * j
-
-        def dfs(level: int, val: int, left: int, parts: list[str]) -> None:
-            stats.ops.tick()
-            if level == j:
-                consider(val, "t" * j + "".join(parts))
-                return
-            if abs(val) - left > bound or val % p:
-                return  # cannot come back into range / cannot descend
-            carried = (val // p) * q
-            for nxt in range(-left, left + 1):
-                parts.append("T" + _run(nxt))
-                dfs(level + 1, carried + nxt, left - abs(nxt), parts)
-                parts.pop()
-
-        for a0 in range(-budget, budget + 1):
-            dfs(0, a0, budget - abs(a0), [_run(a0)])
-
-    return dict(best)
+    bound = r_llnf(params) + 2 * params.q - 1
+    if bound > MAX_TABLE_RADIUS:
+        raise LimitExceeded(
+            f"the integer table of BS({params.p},{params.q}) has radius {bound}"
+            f" > {MAX_TABLE_RADIUS}"
+        )
+    rows = range(-bound, bound + 1)
+    best = col = {rho: _run(rho) for rho in rows}
+    # for j > bound // 2, t^j T^j alone is longer than every unary word
+    for j in range(1, bound // 2 + 1):
+        col = _column_step(col, 0, rows, params, bound)
+        best = {rho: min(w, "t" * j + col[rho], key=ll_key) for rho, w in best.items()}
+    return best
 
 
 def greedy_slope(alpha: int, params: GroupParams) -> tuple[int, AltWord]:
@@ -190,6 +188,20 @@ def _dp_candidates(
     return out
 
 
+def _column_step(
+    prev: dict[int, str], beta: int, rows: range, params: GroupParams, prev_bound: int
+) -> dict[int, str]:
+    """One string DP column: row rho holds the ll-least prev[x] T a^gamma."""
+    col = {}
+    for rho in rows:
+        cands = []
+        for x, gamma in _dp_candidates(beta, rho, params, prev_bound):
+            stats.ops.tick()
+            cands.append(prev[x] + "T" + _run(gamma))
+        col[rho] = min(cands, key=ll_key)
+    return col
+
+
 def slope_dp_table(s: AltWord, params: GroupParams) -> list[dict[int, str]]:
     """Baseline DP: column i holds llnf(u(i, rho)) for every |rho| <= r.
 
@@ -197,29 +209,13 @@ def slope_dp_table(s: AltWord, params: GroupParams) -> list[dict[int, str]]:
     ``base_table``.  Requires a slope satisfying the greedy output bounds.
     """
     _check_slope(s, params)
-    r = r_llnf(params)
-    q = params.q
-    base = base_table(params)
+    r, q = r_llnf(params), params.q
+    rows = range(-r, r + 1)
     cols: list[dict[int, str]] = []
-    cur: dict[int, str] = {}
-    for rho in range(-r, r + 1):
-        cands = []
-        for prev, gamma in _dp_candidates(s.alpha[0], rho, params, r + q):
-            stats.ops.tick()
-            cands.append(base[prev] + "T" + _run(gamma))
-        cur[rho] = min(cands, key=ll_key)
-    cols.append(cur)
-    for i in range(1, len(s.theta)):
-        beta_i = s.alpha[i]
-        nxt: dict[int, str] = {}
-        for rho in range(-r, r + 1):
-            cands = []
-            for prev, gamma in _dp_candidates(beta_i, rho, params, r):
-                stats.ops.tick()
-                cands.append(cur[prev] + "T" + _run(gamma))
-            nxt[rho] = min(cands, key=ll_key)
-        cols.append(nxt)
-        cur = nxt
+    cur = base_table(params)
+    for i, beta in enumerate(s.alpha[:-1]):
+        cur = _column_step(cur, beta, rows, params, r if i else r + q)
+        cols.append(cur)
     return cols
 
 
@@ -350,20 +346,12 @@ def slope_dp_optimized(s: AltWord, params: GroupParams) -> Matrix:
     if not s.theta:
         return []
     r = r_llnf(params)
-    q = params.q
-    base = base_table(params)
     rows = range(-r, r + 1)
     ell = len(s.theta)
     matrix: Matrix = []
 
     # round 1 from the integer table
-    words = {}
-    for rho in rows:
-        cands = []
-        for prev, gamma in _dp_candidates(s.alpha[0], rho, params, r + q):
-            stats.ops.tick()
-            cands.append(base[prev] + "T" + _run(gamma))
-        words[rho] = min(cands, key=ll_key)
+    words = _column_step(base_table(params), s.alpha[0], rows, params, r + params.q)
     if ell == 1:
         matrix.append({rho: (words[rho], None) for rho in rows})
         return matrix

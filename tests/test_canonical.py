@@ -5,7 +5,7 @@ from __future__ import annotations
 from conftest import P13, P24, DIVIDING, random_alt
 
 from bsgeo import AltWord, alt_concat, canonical_form, equal, parse_word, to_alt
-from bsgeo.canonical import (
+from reference_rewriting import (
     bs_matches,
     bs_normal_form,
     bs_step,

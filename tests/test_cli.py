@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from bsgeo.cli import main
+
 APPENDIX = "7t14T-2tt9T2T23"
 
 
@@ -125,6 +127,20 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_table_beyond_cost_guard_is_a_clean_error(self):
+        # BS(40,41) has slope radius 3240: its integer table is refused at once
+        proc = run_cli("--p", "40", "--q", "41", "geolen", "5")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["britton", "canonical", "tseq", "classify"])
+    def test_structural_commands_need_no_table(self, command, capsys):
+        # in-process: these commands never build the integer table
+        assert main(["--p", "40", "--q", "41", command, APPENDIX]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_output_beyond_default_digit_limit(self):
         # 2^40000 has 12042 digits, more than int/str converts by default

@@ -5,12 +5,14 @@ from __future__ import annotations
 import random
 
 from conftest import P12, P13, P23, P24, P26, P36, random_slope
+from reference_base_table import reference_base_table
 
 import pytest
 
 from bsgeo import (
     AltWord,
     GroupParams,
+    LimitExceeded,
     NotHorocyclic,
     PreconditionError,
     ball,
@@ -36,13 +38,12 @@ from bsgeo import stats
 from bsgeo.horocyclic import _int_llnf_cached, _small_ints
 from bsgeo.words import sym_key
 
-# every pair with q <= 8 whose integer table builds in a few seconds; the
-# staircase search of base_table grows steeply with r, and the pairs left out,
-# (5,6), (6,7), (6,8) and (7,8), have r >= 49 (BS(6,8) alone takes ~25 s)
-SMALL_PAIRS = tuple(
-    params
-    for params in (GroupParams(p, q) for q in range(2, 9) for p in range(1, q))
-    if r_llnf(params) <= 36
+SMALL_PAIRS = tuple(GroupParams(p, q) for q in range(2, 9) for p in range(1, q))
+
+# the staircase search grows exponentially with r: BS(4,5) (r = 36) alone takes
+# about 5 s, so the other pairs stop at r <= 25
+REFERENCE_PAIRS = tuple(
+    params for params in SMALL_PAIRS if r_llnf(params) <= 25 or params == GroupParams(4, 5)
 )
 
 APPENDIX = to_alt(parse_word("7t14T-2tt9T2T23"))
@@ -72,6 +73,16 @@ class TestBaseTable:
             for rho, word in base_table(params).items():
                 if len(word) <= 8:
                     assert word == oracle_llnf(alt_from_int(rho), index), (params, rho)
+
+    @pytest.mark.parametrize("params", REFERENCE_PAIRS, ids=lambda P: f"BS({P.p},{P.q})")
+    def test_matches_staircase_search(self, params):
+        assert base_table(params) == reference_base_table(params)
+
+    @pytest.mark.parametrize("p, q", [(40, 41), (1, 250)])
+    def test_cost_guard(self, p, q):
+        # radius r + 2q - 1 is 3321 and 750: both refused before any work
+        with pytest.raises(LimitExceeded):
+            base_table(GroupParams(p, q))
 
 
 class TestGreedy:
