@@ -208,12 +208,11 @@ def _fuzz_failure(word: str, params: GroupParams, index) -> str | None:
     return None
 
 
-def _shrink(word: str, params, index, reason: str) -> str:
+def _shrink(word: str, params, index) -> str:
     """Greedy shrink: halve coefficients and drop boundary symbol pairs."""
     u = to_alt(word)
     while True:
         better = None
-        syms = u.symbols()
         candidates = []
         if len(u.alpha) > 1:
             candidates.append(AltWord(u.alpha[1:], u.theta[1:]))
@@ -240,7 +239,7 @@ def cmd_fuzz(args, params) -> int:
         word = _random_word(rng, args.maxlen)
         reason = _fuzz_failure(word, params, index)
         if reason is not None:
-            small = _shrink(word, params, index, reason)
+            small = _shrink(word, params, index)
             print(f"FAIL seed={args.seed} iteration={it}: {reason}", file=sys.stderr)
             print(f"reproducer: {small!r}", file=sys.stderr)
             return 1

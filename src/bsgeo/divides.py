@@ -7,22 +7,25 @@ ending with t) is:
 
 1. With ell the maximal height and m chosen so that T^ell u t^m ends at
    height 0, the word T^ell u t^m is a Britton-reduced valley.  Its normal
-   form starts with T^ell (the leading residues vanish mod p and multiples
-   of p commute across valleys), so for m = 0 stripping T^ell finishes the
-   job; for m > 0 the part from the rightmost peak of T^ell u onwards is a
-   valley that is re-normalised from the right (via the involution), and
-   the two halves are glued.
+   form P starts with T^ell (the leading residues vanish mod p and
+   multiples of p commute across valleys).  The part of P from the
+   rightmost peak of T^ell u onwards is a valley that is re-normalised
+   from the right (via the involution), and the two halves are glued with
+   T^ell stripped.  For m = 0 that part is P's bare last coefficient,
+   which comes back unchanged, so no case is special.
 
-2. A Britton-reduced valley v factors as v ~ V gamma with V a standard
+2. Any word v equal to a valley factors as v ~ V gamma with V a standard
    valley: trailing coefficient 0, |coefficients| < q everywhere and < p
-   in front of every T.  The factorisation is the carry pass of
-   ``canonical_form``: V is the canonical form of v with its last
-   coefficient set to 0, and gamma is that last coefficient.  The pass
-   cancels no pair: in a Britton-reduced word the carry into T c t is a
-   multiple of q and the carry into t c T a multiple of p, so the tested
-   remainder is never 0.  Because p divides q, the carry mu q that an arc
-   pushes inward passes every inner T whole and leaves after the matching
-   t unchanged, which is the grammar's arc rule.
+   in front of every T.  One carry pass of ``canonical_form`` finds it: V
+   is the canonical form of v with its last coefficient set to 0, and
+   gamma is that last coefficient.  A canonical form is Britton-reduced
+   with coefficients in [0, q) before each t and in [0, p) before each T,
+   so it keeps the Britton t-sequence and meets the standard bounds, and
+   v need not be reduced first.  On a Britton-reduced word the pass
+   cancels no pair (the carry into T c t is a multiple of q, into t c T
+   one of p).  Because p divides q, the carry mu q that an arc pushes
+   inward passes every inner T whole and leaves after the matching t
+   unchanged, which is the grammar's arc rule.
 
 3. For each standard valley V a range R(V), a set of multiples of p with
    |rho| <= r * s(V)  (r the least positive integer with
@@ -41,13 +44,13 @@ ending with t) is:
    ``slope_llnf``'s.  Within one tree node all candidates share their
    t-sequence, so the symbol order is decided by (key of alpha', child
    rank, key of beta') at an arc and by (left rank, right rank) at a
-   concatenation, where an integer a has key 2|a| + (a < 0), the order of
-   ``sym_key``.  Per rho a node keeps its least (norm, key) tuple and a
-   back-pointer, one plain sort of the winners by key gives the node's
-   ranks, and only the winners become structure-sharing rope nodes.  The
-   words for different shifts rho differ, so the ranks are strict.  The
-   norms and keys of the coefficients, all below q, come from one table
-   per group (``horocyclic._small_ints``).
+   concatenation, where an integer a has key ``sym_key(a)`` =
+   2 + 2|a| + (a < 0).  Per rho a node keeps its least (norm, key) tuple
+   and a back-pointer, one plain sort of the winners by key gives the
+   node's ranks, and only the winners become structure-sharing rope
+   nodes.  The words for different shifts rho differ, so the ranks are
+   strict.  The norms and keys of the coefficients, all below q, come from
+   one table per group (``horocyclic._small_ints``).
 
 4. pnf(v) = min { V_rho llnf(rho + gamma) : rho in R(V) }.
 
@@ -281,25 +284,13 @@ def _walk_symbols(root, view: Callable[[object], tuple]) -> list:
 # standardisation (valley ~ standard valley * integer)
 # ---------------------------------------------------------------------------
 
-def _standard_split(w: AltWord, params: GroupParams) -> tuple[AltWord, int]:
-    """V and gamma with w ~ V a^gamma for a Britton-reduced valley w."""
-    c = canonical_form(w, params)
-    if c.theta != w.theta:
-        raise InternalError("the carry pass cancelled a pair of a reduced valley")
-    return AltWord(c.alpha[:-1] + (0,), c.theta), c.alpha[-1]
-
-
-def _reduced_valley(v: AltWord, params: GroupParams) -> AltWord:
-    _require_divides(params)
-    w = britton_reduce(v, params)
-    if not _is_valley(w):
-        raise NotAValley(f"{v} does not Britton-reduce to a valley")
-    return w
-
-
 def to_standard_valley(v: AltWord, params: GroupParams) -> tuple[AltWord, int]:
-    """A standard valley V and gamma with v ~ V a^gamma (Britton-reduced)."""
-    return _standard_split(_reduced_valley(v, params), params)
+    """A standard valley V and gamma with v ~ V a^gamma (V Britton-reduced)."""
+    _require_divides(params)
+    c = canonical_form(v, params)
+    if not _is_valley(c):
+        raise NotAValley(f"{v} does not Britton-reduce to a valley")
+    return AltWord(c.alpha[:-1] + (0,), c.theta), c.alpha[-1]
 
 
 def is_standard_valley(V: AltWord, params: GroupParams) -> bool:
@@ -410,12 +401,9 @@ def valley_family(V: AltWord, params: GroupParams) -> dict[int, tuple[AltWord, i
 # normal forms
 # ---------------------------------------------------------------------------
 
-def valley_pnf(v: AltWord, params: GroupParams) -> BrittonPnf:
-    """Peak normal form of a valley: min over V_rho llnf(rho + gamma)."""
-    w = _reduced_valley(v, params)
-    if not w.theta:
-        return make_britton_pnf(w, params)
-    V, gamma = _standard_split(w, params)
+def _valley_word(v: AltWord, params: GroupParams) -> AltWord:
+    """The peak normal form word of a valley: min over V_rho llnf(rho + gamma)."""
+    V, gamma = to_standard_valley(v, params)
     tree = valley_parse(V)
     root = _families(tree, params)[tree.root]
     stats.ops.tick(len(root))
@@ -423,7 +411,12 @@ def valley_pnf(v: AltWord, params: GroupParams) -> BrittonPnf:
     rho, _, rope = min(root, key=lambda f: f[1] + int_norm(f[0] + gamma, params))
     syms = _rope_symbols(rope)
     syms[-1] += rho + gamma
-    return make_britton_pnf(alt_from_symbols(syms), params)
+    return alt_from_symbols(syms)
+
+
+def valley_pnf(v: AltWord, params: GroupParams) -> BrittonPnf:
+    """Peak normal form of a valley: min over V_rho llnf(rho + gamma)."""
+    return make_britton_pnf(_valley_word(v, params), params)
 
 
 def difficult_pnf(u: AltWord, params: GroupParams) -> BrittonPnf:
@@ -436,19 +429,18 @@ def difficult_pnf(u: AltWord, params: GroupParams) -> BrittonPnf:
     ell = max(prof)
     m = ell - prof[-1]
     vw = AltWord((0,) * ell + w.alpha + (0,) * m, "T" * ell + w.theta + "t" * m)
-    P = valley_pnf(vw, params).word
-    if P.theta != vw.theta or any(P.alpha[:ell]):
-        raise InternalError("valley pnf lost the T^ell prefix")
-    if m == 0:
-        return make_britton_pnf(AltWord(P.alpha[ell:], P.theta[ell:]), params)
+    P = _valley_word(vw, params)
     profP = height_profile(P)
     K = len(P.theta)
     jstar = max(i for i in range(K - m + 1) if profP[i] == 0)
     tail = AltWord(P.alpha[jstar:], P.theta[jstar:])
-    Q = involute(valley_pnf(involute(tail), params).word)
+    Q = involute(_valley_word(involute(tail), params))
     KQ = len(Q.theta)
-    if Q.theta[KQ - m :] != "t" * m or any(Q.alpha[KQ - m + 1 :]):
-        raise InternalError("valley pnf lost the t^m suffix")
+    # both halves are Britton-reduced, so their t-sequences must survive
+    if P.theta != vw.theta or KQ != len(tail.theta):
+        raise InternalError("the carry pass cancelled a pair of a reduced valley")
+    if any(P.alpha[:ell]) or Q.theta[KQ - m :] != "t" * m or any(Q.alpha[KQ - m + 1 :]):
+        raise InternalError("valley pnf lost the T^ell prefix or the t^m suffix")
     word = AltWord(
         P.alpha[ell:jstar] + Q.alpha[: KQ - m + 1],
         P.theta[ell:jstar] + Q.theta[: KQ - m],
@@ -469,8 +461,7 @@ def full_pnf(w: str | AltWord, params: GroupParams) -> tuple[BrittonPnf, str, in
     if dec.core.theta == "":
         solver = horocyclic_core_solver(params)
     elif params.divides:
-        def solver(cw: AltWord) -> BrittonPnf:
-            return difficult_pnf(cw, params)
+        solver = partial(difficult_pnf, params=params)
     else:
         raise UnsupportedCase(
             "computing geodesics of difficult words (t-sequence starting with"

@@ -66,7 +66,7 @@ from functools import lru_cache
 from . import stats
 from .britton import britton_reduce
 from .errors import InternalError, LimitExceeded, NotHorocyclic, PreconditionError
-from .words import _LL_RANK, AltWord, GroupParams, _run, ll_key, to_alt
+from .words import _LL_RANK, AltWord, GroupParams, _run, ll_key, sym_key, to_alt
 
 __all__ = [
     "r_llnf",
@@ -121,8 +121,13 @@ def base_table(params: GroupParams) -> dict[int, str]:
     every pair with q <= 8 and r <= 36, and the tests pin both restrictions
     against it.
 
-    The build time grows about as radius^2.3 (0.3 s at radius 231, 2 s at
-    ``MAX_TABLE_RADIUS``); wider tables raise ``LimitExceeded`` at once.
+    Levels stop early: every word of a level after j is at least j + 2
+    letters longer than the shortest word of column j, and at equal length
+    the larger j wins, so once that exceeds the longest kept entry no later
+    level can win (BS(1,100) runs 27 of its 150 levels).  Build times (CPU,
+    Python 3.11, 2-vCPU VM): 0.19 s for BS(12,13) (radius 325; 0.45 s with
+    every level) and 0.5 s at radius 496.  Tables wider than
+    ``MAX_TABLE_RADIUS`` raise ``LimitExceeded`` at once.
     """
     bound = r_llnf(params) + 2 * params.q - 1
     if bound > MAX_TABLE_RADIUS:
@@ -136,6 +141,8 @@ def base_table(params: GroupParams) -> dict[int, str]:
     for j in range(1, bound // 2 + 1):
         col = _column_step(col, 0, rows, params, bound)
         best = {rho: min(w, "t" * j + col[rho], key=ll_key) for rho, w in best.items()}
+        if j + 2 + min(map(len, col.values())) > max(map(len, best.values())):
+            break
     return best
 
 
@@ -428,14 +435,14 @@ def int_norm(alpha: int, params: GroupParams) -> int:
 
 @lru_cache(maxsize=None)
 def _small_ints(params: GroupParams) -> dict[int, tuple[int, int]]:
-    """a -> (||a||, 2|a| + (a < 0)) for every |a| < q.
+    """a -> (||a||, sym_key(a)) for every |a| < q.
 
-    The second entry orders integers as ``words.sym_key`` does.  The DPs
-    over coefficients below q (the valley families and the flank peel) read
-    both from here, once per call, instead of hashing params per lookup.
+    The DPs over coefficients below q (the valley families and the flank
+    peel) read both from here, once per call, instead of hashing params per
+    lookup.
     """
     q = params.q
-    return {a: (int_norm(a, params), 2 * abs(a) + (a < 0)) for a in range(1 - q, q)}
+    return {a: (int_norm(a, params), sym_key(a)) for a in range(1 - q, q)}
 
 
 def norm(u: AltWord, params: GroupParams) -> int:

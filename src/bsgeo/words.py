@@ -313,17 +313,18 @@ def cmp_ll(u: str, v: str) -> int:
     return -1 if ku < kv else (0 if ku == kv else 1)
 
 
-def sym_key(s) -> tuple[int, int, int]:
+def sym_key(s) -> int:
     """Order key for a single symbol of Z union {t, T}.
 
     t < T < alpha for every integer alpha; integers compare by absolute
-    value, and among n and -n the non-negative one is smaller.
+    value, and among n and -n the non-negative one is smaller.  The key is
+    0 for t, 1 for T and 2 + 2|a| + (a < 0) for an integer a.
     """
     if s == "t":
-        return (0, 0, 0)
+        return 0
     if s == "T":
-        return (1, 0, 0)
-    return (2, abs(s), 0 if s >= 0 else 1)
+        return 1
+    return 2 + 2 * abs(s) + (s < 0)
 
 
 def peak_key(u: AltWord) -> tuple[tuple, tuple]:

@@ -1,4 +1,7 @@
-"""The staircase search, kept as a test reference for ``horocyclic.base_table``.
+"""Reference builders for ``horocyclic.base_table``.
+
+``full_level_base_table`` runs the column DP for every level, with no
+early stop.  ``reference_base_table`` is the staircase search.
 
 Geodesics of integers that use the letter t at all can be written as
 t^j a0 T a1 ... T aj, and the length-lexicographic minimum is of that
@@ -12,8 +15,19 @@ restriction or the per-level minimum of the column DP.
 from __future__ import annotations
 
 from bsgeo import GroupParams
-from bsgeo.horocyclic import r_llnf
+from bsgeo.horocyclic import _column_step, r_llnf
 from bsgeo.words import _run, ll_key
+
+
+def full_level_base_table(params: GroupParams) -> dict[int, str]:
+    """llnf(rho) for |rho| <= r_llnf(params) + 2q - 1 from all radius // 2 column levels."""
+    bound = r_llnf(params) + 2 * params.q - 1
+    rows = range(-bound, bound + 1)
+    best = col = {rho: _run(rho) for rho in rows}
+    for j in range(1, bound // 2 + 1):
+        col = _column_step(col, 0, rows, params, bound)
+        best = {rho: min(w, "t" * j + col[rho], key=ll_key) for rho, w in best.items()}
+    return best
 
 
 def reference_base_table(params: GroupParams) -> dict[int, str]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 
-from bsgeo import alt_from_symbols, make_britton_pnf
-from bsgeo.divides import _reduced_valley, _standard_split, _walk_symbols, valley_parse
+from bsgeo import AltWord, alt_from_symbols, make_britton_pnf
+from bsgeo.divides import _walk_symbols, to_standard_valley, valley_parse
 from bsgeo.horocyclic import int_norm, residues_mod
 from bsgeo.words import sym_key
 
@@ -130,10 +130,9 @@ def reference_valley_family(V, params) -> dict:
 
 def reference_valley_pnf(v, params):
     """The Britton peak normal form of a valley, by the rope families."""
-    w = _reduced_valley(v, params)
-    if not w.theta:
-        return make_britton_pnf(w, params)
-    V, gamma = _standard_split(w, params)
+    V, gamma = to_standard_valley(v, params)
+    if not V.theta:
+        return make_britton_pnf(AltWord((gamma,)), params)
     tree = valley_parse(V)
     fams, _ = reference_families(tree, params)
     best = None

@@ -16,6 +16,7 @@ import pytest
 from bsgeo import (
     AltWord,
     GroupParams,
+    InternalError,
     NotAValley,
     NotDifficult,
     RequiresDivides,
@@ -48,6 +49,8 @@ from bsgeo import (
     valley_parse,
     valley_pnf,
 )
+import bsgeo.britton
+import bsgeo.divides
 from bsgeo import stats
 from bsgeo.divides import _families
 from bsgeo.horocyclic import _small_ints
@@ -161,12 +164,16 @@ class TestStandardize:
     def test_contract_on_random_valleys(self, rng):
         for _ in range(400):
             params = (P13, P24, P26)[rng.randrange(3)]
-            v = britton_reduce(random_valley(rng, depth=4), params)
+            raw = random_valley(rng, depth=4)
+            v = britton_reduce(raw, params)
             V, gamma = to_standard_valley(v, params)
             assert is_standard_valley(V, params)
             shifted = alt_concat(V, alt_from_int(gamma))
             assert is_britton_reduced(shifted, params)
             assert equal(v, shifted, params)
+            # the unreduced valley standardises alike, with no reduction first
+            assert to_standard_valley(raw, params) == (V, gamma)
+            assert valley_pnf(raw, params) == valley_pnf(v, params)
 
     def test_requires_divides(self):
         with pytest.raises(RequiresDivides):
@@ -313,6 +320,27 @@ class TestDifficult:
         again = difficult_pnf(b.word, P24)
         assert again.word == b.word
 
+    @pytest.mark.parametrize("half", [0, 1], ids=["left", "right"])
+    def test_cancelled_pair_is_an_internal_error(self, monkeypatch, half):
+        # a carry pass that loses a T c t pair in either valley half must raise,
+        # also under python -O
+        real = bsgeo.divides._valley_word
+        calls = []
+
+        def cancelling(v, params):
+            w = real(v, params)
+            calls.append(v)
+            if len(calls) != half + 1:
+                return w
+            i = w.theta.index("Tt")
+            alpha = w.alpha[:i] + (sum(w.alpha[i : i + 3]),) + w.alpha[i + 3 :]
+            return AltWord(alpha, w.theta[:i] + w.theta[i + 2 :])
+
+        monkeypatch.setattr(bsgeo.divides, "_valley_word", cancelling)
+        with pytest.raises(InternalError, match="cancelled a pair"):
+            difficult_pnf(AltWord((0, 1, 1, 1, 1, 1, 0), "TttTTt"), P24)
+        assert len(calls) == 2
+
     def test_sweep_against_oracle(self):
         index = ball(P24, 8)
         for word in iter_words(5):
@@ -355,6 +383,23 @@ class TestFullPnf:
         # hills still work for p not dividing q
         bp, flat, length = full_pnf(AltWord((1, 1, 1), "tT"), P23)
         assert equal(AltWord((1, 1, 1), "tT"), to_alt(flat), P23)
+
+    def test_difficult_core_is_reduced_twice(self, monkeypatch):
+        # decompose reduces the input and difficult_pnf its core; the two
+        # valley halves are standardised by the carry pass alone
+        calls = []
+        real = bsgeo.britton.britton_reduce
+
+        def counting(u, params):
+            calls.append(u)
+            return real(u, params)
+
+        monkeypatch.setattr(bsgeo.britton, "britton_reduce", counting)
+        monkeypatch.setattr(bsgeo.divides, "britton_reduce", counting)
+        u = AltWord((0, 1, 1, 1, 1, 1, 0), "TttTTt")  # height 1 inside, 0 at the end: m = 1
+        bp, flat, length = full_pnf(u, P24)
+        assert (flat, length) == ("TatataTaTat", 11)
+        assert 1 <= len(calls) <= 2
 
     def test_geodesic_length_examples(self):
         assert geodesic_length(parse_word(APPENDIX), P13) == 13

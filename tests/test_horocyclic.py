@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from conftest import P12, P13, P23, P24, P26, P36, random_slope
-from reference_base_table import reference_base_table
+from reference_base_table import full_level_base_table, reference_base_table
 
 import pytest
 
@@ -77,6 +77,11 @@ class TestBaseTable:
     @pytest.mark.parametrize("params", REFERENCE_PAIRS, ids=lambda P: f"BS({P.p},{P.q})")
     def test_matches_staircase_search(self, params):
         assert base_table(params) == reference_base_table(params)
+
+    @pytest.mark.parametrize("p, q", [(9, 10), (12, 13), (1, 100)])
+    def test_early_stop_matches_all_levels(self, p, q):
+        params = GroupParams(p, q)
+        assert base_table(params) == full_level_base_table(params)
 
     @pytest.mark.parametrize("p, q", [(40, 41), (1, 250)])
     def test_cost_guard(self, p, q):
