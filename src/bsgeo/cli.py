@@ -2,8 +2,10 @@
 
 Every pipeline stage is exposed as a subcommand; words are given in the
 compact notation (e.g. "7t14T-2tt9T2T23").  Results go to stdout,
-diagnostics to stderr.  Exit codes: 0 success, 1 parse error or verification
-mismatch, 2 unsupported case (difficult core with p not dividing q).
+diagnostics to stderr.  Exit codes: 0 success, 1 parse error, verification
+mismatch, refused table or unwritable file, 2 unsupported case (difficult
+core with p not dividing q) or usage error (an unknown, missing or malformed
+option, a negative count included).
 """
 
 from __future__ import annotations
@@ -247,6 +249,17 @@ def cmd_fuzz(args, params) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of sizes and counts: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bsgeo",
@@ -258,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--raw", action="store_true", help="letter-only output")
     parser.add_argument(
         "--max-expansion",
-        type=int,
+        type=_count,
         default=10**6,
         help="letter limit when expanding words for --raw output",
     )
@@ -273,16 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle")
     sp.add_argument("oracle_cmd", choices=("ball", "check"))
-    sp.add_argument("--radius", type=int, default=6, help="ball radius")
-    sp.add_argument("--wordlen", type=int, default=4, help="sweep length for check")
+    sp.add_argument("--radius", type=_count, default=6, help="ball radius")
+    sp.add_argument("--wordlen", type=_count, default=4, help="sweep length for check")
     sp.add_argument("--out", help="write the ball index to this file")
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("fuzz")
-    sp.add_argument("--iterations", type=int, default=100)
+    sp.add_argument("--iterations", type=_count, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--maxlen", type=int, default=12)
-    sp.add_argument("--radius", type=int, default=0, help="oracle radius (0: no oracle)")
+    sp.add_argument("--maxlen", type=_count, default=12)
+    sp.add_argument("--radius", type=_count, default=0, help="oracle radius (0: no oracle)")
     sp.set_defaults(fn=cmd_fuzz)
 
     return parser
@@ -317,6 +330,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         # the same expansion can also ask for more memory than there is
         print("error: out of memory expanding the coefficients into letters", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # e.g. oracle ball --out into a missing directory
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         if digit_limit:

@@ -20,30 +20,28 @@ positive integer with r >= p*(r+q-1)/q + q - 1; the recurrence
                               rho = mu*q + gamma, |gamma| < q }
 
 starts from llnf(rho) for |rho| <= r + q.  That integer table
-(``base_table``) is the same DP run on the zero slope 0 T 0 ... T 0, one
-``_column_step`` per level, so every integer's llnf comes from this one
-recurrence.
+(``base_table``) is the same DP run on the zero slope 0 T 0 ... T 0, with
+the same ``_rank_step`` per level, so every integer's llnf comes from one
+recurrence and one implementation of it.
 
 Three implementations of this DP agree letter for letter:
 
-* ``slope_llnf``, the one production uses (``int_llnf``, ``int_norm``, every
-  pnf): a rank DP whose cells are integers.  Each cell holds the length of
-  its word, the word's lexicographic rank within the column, and a
-  back-pointer made of the predecessor's rank and the trailing gamma; the
-  word is spelled out once, at the end.  Ranks suffice because the words
-  are prefix-free as token sequences.  Cut a word before every t and T:
-  each piece, a token, is a letter plus an a-run, and the lexicographic
-  order of words with t < T < a < A is the lexicographic order of their
-  token sequences, where runs compare as 0 < 1 < ... < q-1 < -1 < -2 < ...
-  The integer table holds staircase words t^j a0 T a1 ... T aj, of which
-  none is a token prefix of another, and each column appends exactly one
-  token T a^gamma, which keeps that true.  So two candidates of equal
-  length compare as (rank of the predecessor, run of gamma), and the next
-  column's ranks come from sorting 2r+1 such pairs.  Each column costs
-  O(r log r) small-integer operations, so llnf(a^alpha) takes time linear
-  in the bit length of alpha after the greedy phase.
+* the rank DP that production uses (``base_table``, and ``slope_llnf`` for
+  ``int_llnf``, ``int_norm`` and every pnf).  A cell is an integer made of
+  its word's length, the word's lexicographic rank within the column, and
+  a back-pointer (predecessor rank, trailing gamma); words are spelled
+  once, at the end.  Ranks suffice because the words are prefix-free as
+  token sequences.  Cut a word before every t and T: each piece, a token,
+  is a letter plus an a-run, and the order of words with t < T < a < A is
+  that of their token sequences, with runs ordered 0 < 1 < ... < -1 < -2 < ...
+  No two unary or staircase words (t^j a0 T a1 ... T aj) are token prefixes
+  of each other, and a column appends one token T a^gamma, which keeps that
+  true.  So equal-length candidates compare as (predecessor rank, run of
+  gamma), and one sort of such pairs ranks the next column: O(r log r)
+  small-integer operations, so llnf(a^alpha) takes time linear in the bit
+  length of alpha after the greedy phase.
 * ``slope_dp_table``, the quadratic reference: every column stores and
-  compares whole words.
+  compares whole words (``_column_step``).
 * ``slope_dp_optimized``, the paper's constant-memory matrix variant: it
   keeps only suffixes (all hidden prefixes share a common length) plus the
   lexicographic order of the hidden prefixes, and emits one matrix column
@@ -53,9 +51,9 @@ Three implementations of this DP agree letter for letter:
 
 Norms: ||alpha|| = len(int_llnf(alpha)) and ||u|| = k + sum ||alpha_i||.
 
-The per-parameter tables are cached: ``base_table``, and the rank DP's
-column 0 and per-coefficient candidate lists, which are built on first use.
-All functions are pure after that, so concurrent use is safe.
+``base_table``, the rank DP's column 0 and its per-coefficient candidates
+are cached per parameter pair; all functions are pure after that, so safe
+under threads, but the one process-wide ``stats.ops`` count mixes calls.
 """
 
 from __future__ import annotations
@@ -109,24 +107,17 @@ def base_table(params: GroupParams) -> dict[int, str]:
     """llnf(rho) for small integers, |rho| <= r_llnf(params) + 2q - 1.
 
     The slope DP looks up |rho| <= r + q; the wider table also covers every
-    |rho| < 2q.  An llnf that uses t is a staircase t^j a0 T a1 ... T aj,
-    i.e. t^j and a word of the zero slope 0 T ... T 0.  So column 0 holds
-    the unary words, column j is ``_column_step`` (beta = 0) of column
-    j - 1, and each entry is the ll-least of t^j + column j over all j.  A
-    per-column minimum is exact because shortlex forms are prefix-closed:
-    a common suffix keeps the ll order of two words.  Values stay within
-    the table, and each step appends T a^gamma only for the residues
-    |gamma| < q of rho mod q.  The staircase search that tries every run
-    length (``tests/reference_base_table.py``) gives the same table on
-    every pair with q <= 8 and r <= 36, and the tests pin both restrictions
-    against it.
-
-    Levels stop early: every word of a level after j is at least j + 2
-    letters longer than the shortest word of column j, and at equal length
-    the larger j wins, so once that exceeds the longest kept entry no later
-    level can win (BS(1,100) runs 27 of its 150 levels).  Build times (CPU,
-    Python 3.11, 2-vCPU VM): 0.19 s for BS(12,13) (radius 325; 0.45 s with
-    every level) and 0.5 s at radius 496.  Tables wider than
+    |rho| < 2q.  An llnf that uses t is a staircase t^j a0 T a1 ... T aj:
+    t^j and a word of the zero slope 0 T ... T 0.  So column 0 holds the
+    unary words, column j is one ``_rank_step`` (beta = 0) of column j - 1,
+    and each row keeps the least (j + length, -j), as t is the least letter;
+    per-column minima are exact because shortlex forms are prefix-closed.
+    Tests pin it to a staircase search and to the string DP
+    (``tests/reference_base_table.py``).  Levels stop once j + 2 + the
+    shortest word of column j exceeds the longest kept entry, as no later
+    level is shorter (BS(1,100) runs 27 of its 150 levels).  Build times
+    (CPU, Python 3.11, 2-vCPU VM): 0.06 s for BS(12,13), 0.13 s at radius
+    496 (0.25 and 0.55 s with the string DP).  Tables wider than
     ``MAX_TABLE_RADIUS`` raise ``LimitExceeded`` at once.
     """
     bound = r_llnf(params) + 2 * params.q - 1
@@ -135,15 +126,25 @@ def base_table(params: GroupParams) -> dict[int, str]:
             f"the integer table of BS({params.p},{params.q}) has radius {bound}"
             f" > {MAX_TABLE_RADIUS}"
         )
-    rows = range(-bound, bound + 1)
-    best = col = {rho: _run(rho) for rho in rows}
+    m, w = _key_scale(params)
+    words = tuple(_run(rho) for rho in range(-bound, bound + 1))
+    order, packed = _rank_words(words, m, w)
+    moves = _column_moves(params, 0, bound, bound)
+    best = [(len(word), 0) for word in words]  # (j + length, -j) per row
+    orders, lows = [], []
     # for j > bound // 2, t^j T^j alone is longer than every unary word
     for j in range(1, bound // 2 + 1):
-        col = _column_step(col, 0, rows, params, bound)
-        best = {rho: min(w, "t" * j + col[rho], key=ll_key) for rho, w in best.items()}
-        if j + 2 + min(map(len, col.values())) > max(map(len, best.values())):
+        orders.append(order)
+        low, order, packed = _rank_step(packed, moves, m, w)
+        lows.append(low)
+        lengths = [c // w for c in packed[:-1]]
+        best = [min(b, (j + n, -j)) for b, n in zip(best, lengths)]
+        if j + 2 + min(lengths) > max(best)[0]:
             break
-    return best
+    return {
+        row - bound: "t" * j + _spell(words, lows[:j], orders[:j], row, params.q)
+        for row, j in enumerate(-neg_j for _, neg_j in best)
+    }
 
 
 def greedy_slope(alpha: int, params: GroupParams) -> tuple[int, AltWord]:
@@ -229,15 +230,9 @@ def slope_dp_table(s: AltWord, params: GroupParams) -> list[dict[int, str]]:
 def slope_llnf(s: AltWord, params: GroupParams) -> str:
     """The length-lexicographic normal form of a slope, as a letter word.
 
-    Runs the rank DP: a cell of column i is the packed integer
-    ``length * W + rank * m`` of llnf(u(i, rho)), where rank is the
-    lexicographic rank of that word within its column.  A candidate appends
-    one token T a^gamma, and ``_column_moves`` adds its length and its
-    gamma key to the predecessor's packed value, so the ll-least candidate
-    is the least integer.  Because no word of a column is a token prefix of
-    another (see the module docstring), (predecessor rank, gamma key), the
-    low part of that integer, is also the lexicographic order of the next
-    column.  The word is rebuilt from those low parts once, at the end.
+    Runs the rank DP (see the module docstring) from ``_base_column``: one
+    ``_rank_step`` per coefficient but the last, then one ``_spell`` of the
+    row of the last coefficient.
     """
     _check_slope(s, params)
     if not s.theta:
@@ -245,30 +240,42 @@ def slope_llnf(s: AltWord, params: GroupParams) -> str:
     r, q = r_llnf(params), params.q
     m, w = _key_scale(params)
     words, order, packed = _base_column(params)
-    orders = [order]
-    lows = []
+    orders, lows = [], []
     for i, beta in enumerate(s.alpha[:-1]):
-        moves1, moves2, n_cands = _column_moves(params, beta, i == 0)
-        stats.ops.tick(n_cands)
-        keys = list(
-            map(
-                min,
-                [packed[j] + c for j, c in moves1],
-                [packed[j] + c for j, c in moves2],
-            )
-        )
-        low = [k % w for k in keys]
-        order = sorted(range(len(keys)), key=low.__getitem__)
-        packed = [0] * len(keys) + [math.inf]
-        for rank, j in enumerate(order):
-            packed[j] = keys[j] - low[j] + rank * m
-        lows.append(low)
         orders.append(order)
-    # follow the back-pointers: a low part is (predecessor rank, gamma key)
-    row = s.alpha[-1] + r
+        moves = _column_moves(params, beta, r, r if i else r + q)
+        low, order, packed = _rank_step(packed, moves, m, w)
+        lows.append(low)
+    return _spell(words, lows, orders, s.alpha[-1] + r, q)
+
+
+def _rank_step(packed: list, moves: tuple, m: int, w: int) -> tuple:
+    """One rank-DP column: (low parts, rows in rank order, packed cells).
+
+    Each row takes its least candidate key, whose low part, (predecessor
+    rank, gamma key), is its back-pointer and orders the new column.
+    """
+    moves1, moves2, n_cands = moves
+    stats.ops.tick(n_cands)
+    keys1 = [packed[j] + c for j, c in moves1]
+    keys = list(map(min, keys1, [packed[j] + c for j, c in moves2]))
+    low = [k % w for k in keys]
+    order = sorted(range(len(keys)), key=low.__getitem__)
+    packed = [math.inf] * (len(keys) + 1)
+    for rank, j in enumerate(order):
+        packed[j] = keys[j] - low[j] + rank * m
+    return low, order, packed
+
+
+def _spell(words: tuple[str, ...], lows: list, orders: list, row: int, q: int) -> str:
+    """The word of a row of the last column, by following its back-pointers.
+
+    ``words`` is column 0, ``orders[i]`` the rows of column i in rank order,
+    ``lows[i]`` column i + 1's low parts: rank * m + gamma key, with m = 2q.
+    """
     tail = []
-    for low, order in zip(reversed(lows), reversed(orders[:-1])):
-        rank, gkey = divmod(low[row], m)
+    for low, order in zip(reversed(lows), reversed(orders)):
+        rank, gkey = divmod(low[row], 2 * q)
         tail.append("T" + _run(gkey if gkey < q else q - gkey))
         row = order[rank]
     return words[row] + "".join(reversed(tail))
@@ -276,60 +283,53 @@ def slope_llnf(s: AltWord, params: GroupParams) -> str:
 
 @lru_cache(maxsize=None)
 def _base_column(params: GroupParams) -> tuple[tuple[str, ...], tuple[int, ...], tuple]:
-    """Column 0 of the rank DP: words, rows in lexicographic order, packed cells.
-
-    Row j holds llnf(rho) for rho = j - r - q, the integers the first column
-    reads.  The packed cells carry one extra cell past the last row: the
-    predecessor of a missing candidate (see ``_column_moves``).
-    """
+    """Column 0 of the slope DP (rho = j - r - q in row j): words, order, cells."""
     r, q = r_llnf(params), params.q
-    m, w = _key_scale(params)
     base = base_table(params)
-    words = [base[rho] for rho in range(-r - q, r + q + 1)]
+    words = tuple(base[rho] for rho in range(-r - q, r + q + 1))
+    order, packed = _rank_words(words, *_key_scale(params))
+    return words, tuple(order), tuple(packed)
+
+
+def _rank_words(words: tuple[str, ...], m: int, w: int) -> tuple[list[int], list]:
+    """Rows in letter order, cells ``length * W + rank * m`` and an infinite one."""
     order = sorted(range(len(words)), key=lambda j: words[j].translate(_LL_RANK))
-    packed = [0] * len(words) + [math.inf]
+    packed = [math.inf] * (len(words) + 1)
     for rank, j in enumerate(order):
         packed[j] = len(words[j]) * w + rank * m
-    return tuple(words), tuple(order), tuple(packed)
+    return order, packed
 
 
 def _key_scale(params: GroupParams) -> tuple[int, int]:
-    """(m, W) of the packed DP cells: m > every gamma key, W > rank * m + key."""
+    """(m, W) of the packed cells: m > any gamma key, W > rank * m + key in any column."""
     m = 2 * params.q
-    return m, (2 * (r_llnf(params) + params.q) + 1) * m
-
-
-Moves = tuple[tuple[int, int], ...]
+    return m, (2 * (r_llnf(params) + 2 * params.q - 1) + 1) * m
 
 
 @lru_cache(maxsize=None)
-def _column_moves(params: GroupParams, beta: int, first: bool) -> tuple[Moves, Moves, int]:
-    """The candidates of one rank-DP column, and how many there are.
+def _column_moves(params: GroupParams, beta: int, radius: int, pred_radius: int) -> tuple:
+    """The candidates of one rank-DP column: (moves1, moves2, how many there are).
 
-    Row j of a column holds rho = j - r; the first column reads from the
-    integer table, whose row for rho is rho + r + q.  A candidate
-    (prev row, weight) of row j stands for llnf(u(i, prev)) T a^gamma, and
-    its weight (1 + |gamma|) * W + key(gamma) is what appending the token
-    adds to a packed cell.  The gamma key orders a-runs as the letters do:
-    0 < 1 < ... < q-1 < -1 < -2 < ..., i.e. key = gamma or q - gamma.
-
-    A row has one or two candidates (one per residue of rho mod q).  The
-    first and second candidates of all rows come as two tuples; a row with
-    only one reads its second from the row one past the end, which holds
-    infinity.
+    Row j holds rho = j - radius; the predecessor column's row for prev is
+    prev + pred_radius.  A candidate (prev row, weight) stands for
+    llnf(u(i, prev)) T a^gamma, and its weight (1 + |gamma|) * W + key(gamma)
+    is what appending the token adds to a packed cell.  The gamma key orders
+    a-runs as the letters do: 0 < 1 < ... < q-1 < -1 < ..., i.e. key = gamma
+    or q - gamma.  A row has one or two candidates (one per residue of rho
+    mod q); a row with one reads its second from the infinite cell past the
+    last row.
     """
-    r, q = r_llnf(params), params.q
+    q = params.q
     _, w = _key_scale(params)
-    bound = r + q if first else r
-    none = (2 * bound + 1, 0)
+    none = (2 * pred_radius + 1, 0)
     moves1, moves2 = [], []
-    for rho in range(-r, r + 1):
+    for rho in range(-radius, radius + 1):
         cands = [
-            (prev + bound, (1 + abs(g)) * w + (g if g >= 0 else q - g))
-            for prev, g in _dp_candidates(beta, rho, params, bound)
+            (prev + pred_radius, (1 + abs(g)) * w + (g if g >= 0 else q - g))
+            for prev, g in _dp_candidates(beta, rho, params, pred_radius)
         ]
         if not 1 <= len(cands) <= 2:
-            raise InternalError(f"row {rho} of the slope DP has {len(cands)} candidates")
+            raise InternalError(f"row {rho} of the rank DP has {len(cands)} candidates")
         moves1.append(cands[0])
         moves2.append(cands[1] if len(cands) == 2 else none)
     n_cands = sum(c is not none for c in moves2) + len(moves1)

@@ -1,7 +1,9 @@
 """Reference builders for ``horocyclic.base_table``.
 
-``full_level_base_table`` runs the column DP for every level, with no
-early stop.  ``reference_base_table`` is the staircase search.
+``full_level_base_table`` is the string-DP reference: it runs the whole-word
+column step ``horocyclic._column_step`` for every level, with no early stop,
+and keeps the ll-least word per row.  Production builds the table with the
+integer rank DP instead.  ``reference_base_table`` is the staircase search.
 
 Geodesics of integers that use the letter t at all can be written as
 t^j a0 T a1 ... T aj, and the length-lexicographic minimum is of that

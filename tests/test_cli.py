@@ -227,6 +227,36 @@ class TestOracleAndFuzz:
         assert proc.returncode == 0
         assert "OK" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("fuzz", "--maxlen", "-1"),
+            ("fuzz", "--iterations", "-3"),
+            ("fuzz", "--radius", "-1"),
+            ("oracle", "check", "--wordlen", "-2"),
+            ("oracle", "ball", "--radius", "-1"),
+            ("--max-expansion", "-5", "britton", "a"),
+        ],
+        ids=["maxlen", "iterations", "fuzz-radius", "wordlen", "ball-radius", "max-expansion"],
+    )
+    def test_negative_count_is_a_usage_error(self, args):
+        # a negative count is an argparse usage error (exit 2), like every malformed option
+        proc = run_cli("--p", "1", "--q", "2", *args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "non-negative integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unwritable_ball_path_is_a_clean_error(self, tmp_path):
+        out = tmp_path / "missing" / "ball.tsv"
+        proc = run_cli(
+            "--p", "1", "--q", "3", "oracle", "ball", "--radius", "3", "--out", str(out)
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_fuzz_deterministic(self):
         args = (
             "--p", "2", "--q", "4", "fuzz",

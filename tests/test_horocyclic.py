@@ -34,7 +34,7 @@ from bsgeo import (
     to_alt,
     alt_from_int,
 )
-from bsgeo import stats
+from bsgeo import full_pnf, horocyclic, stats
 from bsgeo.horocyclic import _int_llnf_cached, _small_ints
 from bsgeo.words import sym_key
 
@@ -78,10 +78,32 @@ class TestBaseTable:
     def test_matches_staircase_search(self, params):
         assert base_table(params) == reference_base_table(params)
 
-    @pytest.mark.parametrize("p, q", [(9, 10), (12, 13), (1, 100)])
+    # BS(15,16) (radius 496) and BS(1,166) (radius 498) are the widest tables
+    # that MAX_TABLE_RADIUS admits
+    @pytest.mark.parametrize("p, q", [(9, 10), (12, 13), (1, 100), (15, 16), (1, 166)])
     def test_early_stop_matches_all_levels(self, p, q):
         params = GroupParams(p, q)
         assert base_table(params) == full_level_base_table(params)
+
+    def test_production_never_runs_the_string_dp(self, monkeypatch):
+        cases = [
+            (P13, to_alt(parse_word("7t14T-2tt9T2T23"))),
+            (P24, to_alt(parse_word("3t5T7t9T11"))),
+            (GroupParams(12, 13), to_alt(parse_word("100t3T-50"))),
+        ]
+
+        def answers(params, u):
+            return base_table(params), int_llnf(10**40, params), full_pnf(u, params)[1:]
+
+        want = [answers(params, u) for params, u in cases]
+
+        def refuse(*args):
+            raise AssertionError("the string column step ran on the production path")
+
+        monkeypatch.setattr(horocyclic, "_column_step", refuse)
+        for cached in (base_table, horocyclic._base_column, _small_ints, _int_llnf_cached):
+            cached.cache_clear()
+        assert [answers(params, u) for params, u in cases] == want
 
     @pytest.mark.parametrize("p, q", [(40, 41), (1, 250)])
     def test_cost_guard(self, p, q):
