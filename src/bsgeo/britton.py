@@ -13,6 +13,10 @@ where the core D is either a single integer (u is then a hill) or starts
 with T and ends with t (D is then "difficult").  ``decompose`` computes this
 split; flanks are listed in word order, outermost coefficient first on the
 left flank and last on the right flank.
+
+One stack pass (``_pinch_pass``) does all pinching.  ``britton_reduce``
+wraps its result, ``is_britton_reduced`` asks whether it pinched anything,
+and ``canonical.canonical_form`` follows it with a carry pass.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from . import stats
 from .words import AltWord, GroupParams, height_profile
 
 
-def britton_reduce(u: AltWord, params: GroupParams) -> AltWord:
-    """A Britton-reduced word equal to u, pinching leftmost-innermost.
+def _pinch_pass(u: AltWord, params: GroupParams) -> tuple[list[int], list[str]]:
+    """Coefficients and letters of a Britton reduction of u, leftmost-innermost.
 
     Single left-to-right stack pass: whenever the letter about to be pushed
     forms a pinch t a^(mu p) T or T a^(mu q) t with the top of the stack, the
@@ -49,20 +53,23 @@ def britton_reduce(u: AltWord, params: GroupParams) -> AltWord:
         else:
             thetas.append(th)
             alphas.append(nxt)
+    return alphas, thetas
+
+
+def britton_reduce(u: AltWord, params: GroupParams) -> AltWord:
+    """A Britton-reduced word equal to u, pinching leftmost-innermost."""
+    alphas, thetas = _pinch_pass(u, params)
     return AltWord(tuple(alphas), "".join(thetas))
 
 
 def is_britton_reduced(u: AltWord, params: GroupParams) -> bool:
-    """True iff no factor t a^(mu p) T or T a^(mu q) t remains."""
-    p, q = params.p, params.q
-    for i in range(1, len(u.theta)):
-        a, b = u.theta[i - 1], u.theta[i]
-        c = u.alpha[i]
-        if a == "t" and b == "T" and c % p == 0:
-            return False
-        if a == "T" and b == "t" and c % q == 0:
-            return False
-    return True
+    """True iff no factor t a^(mu p) T or T a^(mu q) t remains.
+
+    Until the first pinch the stack top is the previous letter with its
+    own coefficient, so the pass pinches nothing exactly when no adjacent
+    pair of u is a pinch.
+    """
+    return len(_pinch_pass(u, params)[1]) == len(u.theta)
 
 
 def t_sequence(u: AltWord, params: GroupParams) -> str:

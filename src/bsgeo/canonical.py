@@ -13,15 +13,19 @@ words are equal in BS(p, q) iff their irreducible forms coincide; these
 forms are used as hash keys by the brute-force oracle.
 
 ``canonical_form`` runs on the alternating representation with binary
-coefficients in a single left-to-right carry pass: the irreducible words
-are exactly those whose coefficient before each t lies in [0, q), whose
-coefficient before each T lies in [0, p), and which contain no adjacent
-t T or T t pair.
+coefficients: the irreducible words are exactly the Britton-reduced words
+whose coefficient before each t lies in [0, q) and before each T in
+[0, p) (Lyndon-Schupp IV.2).  So it is the Britton pass of
+``britton._pinch_pass`` plus one left-to-right carry pass, which moves
+mu p across a^(mu q + beta) t and mu q across a^(mu p + beta) T.  The carry
+cancels nothing: the carry into t c T is a multiple of p and that into
+T c t a multiple of q, so c keeps the nonzero residue that left the pair
+unpinched.
 """
 
 from __future__ import annotations
 
-from . import stats
+from .britton import _pinch_pass
 from .words import AltWord, GroupParams
 
 
@@ -32,27 +36,14 @@ def canonical_form(u: AltWord, params: GroupParams) -> AltWord:
     canonical forms are identical.
     """
     p, q = params.p, params.q
-    alphas = [u.alpha[0]]
-    thetas: list[str] = []
-    for idx, th in enumerate(u.theta):
-        stats.ops.tick()
-        nxt = u.alpha[idx + 1]
-        c = alphas[-1]
+    alphas, thetas = _pinch_pass(u, params)
+    for i, th in enumerate(thetas):
         if th == "t":
-            mu, beta = divmod(c, q)
-            carry = mu * p
+            mu, alphas[i] = divmod(alphas[i], q)
+            alphas[i + 1] += mu * p
         else:
-            mu, beta = divmod(c, p)
-            carry = mu * q
-        if beta == 0 and thetas and thetas[-1] != th:
-            # adjacent inverse letters cancel; the carry joins the merged run
-            thetas.pop()
-            alphas.pop()
-            alphas[-1] += carry + nxt
-        else:
-            alphas[-1] = beta
-            thetas.append(th)
-            alphas.append(carry + nxt)
+            mu, alphas[i] = divmod(alphas[i], p)
+            alphas[i + 1] += mu * q
     return AltWord(tuple(alphas), "".join(thetas))
 
 

@@ -58,14 +58,10 @@ def _word_arg(args) -> AltWord:
     return to_alt(parse_word(args.word))
 
 
-def _render_or_raw(args, u: AltWord) -> str:
-    if args.raw:
-        return to_raw(u, args.max_expansion)
-    return render_word(u)
-
-
 def _render_text(args, w: AltWord, cls) -> str:
-    return _render_or_raw(args, w)
+    if args.raw:
+        return to_raw(w, args.max_expansion)
+    return render_word(w)
 
 
 # subcommand -> (transform of the input, its text line, whether the output

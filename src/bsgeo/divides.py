@@ -16,16 +16,13 @@ ending with t) is:
 
 2. Any word v equal to a valley factors as v ~ V gamma with V a standard
    valley: trailing coefficient 0, |coefficients| < q everywhere and < p
-   in front of every T.  One carry pass of ``canonical_form`` finds it: V
-   is the canonical form of v with its last coefficient set to 0, and
-   gamma is that last coefficient.  A canonical form is Britton-reduced
-   with coefficients in [0, q) before each t and in [0, p) before each T,
-   so it keeps the Britton t-sequence and meets the standard bounds, and
-   v need not be reduced first.  On a Britton-reduced word the pass
-   cancels no pair (the carry into T c t is a multiple of q, into t c T
-   one of p).  Because p divides q, the carry mu q that an arc pushes
-   inward passes every inner T whole and leaves after the matching t
-   unchanged, which is the grammar's arc rule.
+   in front of every T.  ``canonical_form`` finds it: V is the canonical
+   form of v with its last coefficient set to 0, and gamma is that last
+   coefficient.  A canonical form is the Britton reduction of v with its
+   coefficients carried into [0, q) before each t and [0, p) before each
+   T, so it meets the standard bounds.  Because p divides q, the carry
+   mu q that an arc pushes inward passes every inner T whole and leaves
+   after the matching t unchanged, which is the grammar's arc rule.
 
 3. For each standard valley V a range R(V), a set of multiples of p with
    |rho| <= r * s(V)  (r the least positive integer with
@@ -285,7 +282,7 @@ def _walk_symbols(root, view: Callable[[object], tuple]) -> list:
 # ---------------------------------------------------------------------------
 
 def to_standard_valley(v: AltWord, params: GroupParams) -> tuple[AltWord, int]:
-    """A standard valley V and gamma with v ~ V a^gamma (V Britton-reduced)."""
+    """A standard valley V and gamma with v ~ V a^gamma, from canonical_form(v)."""
     _require_divides(params)
     c = canonical_form(v, params)
     if not _is_valley(c):

@@ -145,10 +145,7 @@ def oracle_britton_pnf(
         raise LimitExceeded(f"t-sequence of length {k} exceeds k_max={k_max}")
     if index is None:
         index = ball(params, coeff_max)
-    target_word = canonical_form(w, params)
-    if target_word.theta != red.theta:
-        raise InternalError("canonical and Britton t-sequences differ")
-    tgt = target_word.alpha
+    tgt = canonical_form(w, params).alpha
     theta = red.theta
 
     norms = {

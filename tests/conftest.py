@@ -14,6 +14,7 @@ P13 = GroupParams(1, 3)
 P23 = GroupParams(2, 3)
 P24 = GroupParams(2, 4)
 P26 = GroupParams(2, 6)
+P35 = GroupParams(3, 5)
 P36 = GroupParams(3, 6)
 
 DIVIDING = (P12, P13, P24, P26, P36)

@@ -3,8 +3,11 @@
 ``bs_step`` applies the single letter rules of the rewriting system in
 ``bsgeo.canonical`` and exists only for small-scale confluence checks;
 irreducible descendants can be exponentially longer than the input in
-unary.  ``equal_via_inverse`` decides equality along a route independent of
-``canonical_form``.
+unary.  ``bs_normal_form`` is the judge of ``canonical_form`` that shares no
+code with it.  ``equal_via_inverse`` decides equality by Britton-reducing
+u * v^-1; it shares the pinch pass with ``equal`` (``canonical_form`` is that
+pass plus a carry pass), so it cross-checks the carry pass and the
+concatenation, not the pinching.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from bsgeo.canonical import canonical_form
 def equal_via_inverse(u: AltWord, v: AltWord, params: GroupParams) -> bool:
     """Equality decided by Britton-reducing u * v^-1 to the empty word.
 
-    Cross-checks ``equal`` along an independent route.
+    Cross-checks ``equal`` along a route without the carry pass.
     """
     red = britton_reduce(alt_concat(u, involute(v)), params)
     return red.theta == "" and red.alpha == (0,)

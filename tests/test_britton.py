@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from conftest import P12, P13, P23, P24, random_alt
+import random
+
+from conftest import P12, P13, P23, P24, P35, iter_words, random_alt
 
 from bsgeo import (
     AltWord,
@@ -154,3 +156,46 @@ def test_empty_word():
     assert britton_reduce(AltWord((0,)), P13) == AltWord((0,))
     d = decompose(AltWord((0,)), P13)
     assert d.core == AltWord((0,))
+
+
+def _has_pinch_factor(u, params):
+    """Direct scan for a factor t a^(mu p) T or T a^(mu q) t."""
+    for i in range(1, len(u.theta)):
+        pair, c = u.theta[i - 1 : i + 1], u.alpha[i]
+        if (pair == "tT" and c % params.p == 0) or (pair == "Tt" and c % params.q == 0):
+            return True
+    return False
+
+
+def _pinchable_alt(rng, params, max_k=8, max_coeff=10**6):
+    """A random AltWord whose coefficients are often multiples of p or q."""
+    k = rng.randint(0, max_k)
+    alpha = []
+    for _ in range(k + 1):
+        c = rng.randint(-max_coeff, max_coeff)
+        r = rng.random()
+        if r < 0.3:
+            c -= c % params.p
+        elif r < 0.6:
+            c -= c % params.q
+        alpha.append(c)
+    return AltWord(tuple(alpha), "".join(rng.choice("tT") for _ in range(k)))
+
+
+class TestIsBrittonReducedScan:
+    def test_every_short_letter_word(self):
+        for params in (P24, P35):
+            for w in iter_words(6):
+                u = to_alt(w)
+                assert is_britton_reduced(u, params) == (not _has_pinch_factor(u, params))
+
+    def test_random_large_coefficients(self):
+        rng = random.Random(1301)
+        for params in (P24, P35):
+            seen = set()
+            for _ in range(2000):
+                u = _pinchable_alt(rng, params)
+                reduced = not _has_pinch_factor(u, params)
+                seen.add(reduced)
+                assert is_britton_reduced(u, params) == reduced
+            assert seen == {True, False}

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
-from conftest import P13, P24, DIVIDING, random_alt
+import random
 
-from bsgeo import AltWord, alt_concat, canonical_form, equal, parse_word, to_alt
+from conftest import P12, P13, P23, P24, P35, P36, DIVIDING, random_alt
+
+from bsgeo import (
+    AltWord,
+    alt_concat,
+    britton_reduce,
+    canonical_form,
+    equal,
+    parse_word,
+    to_alt,
+)
 from reference_rewriting import (
     bs_matches,
     bs_normal_form,
@@ -116,3 +126,25 @@ class TestEqual:
 def test_bs_normal_form_examples():
     assert bs_normal_form("aaat", P13) == "ta"
     assert bs_normal_form("tT", P13) == ""
+
+
+class TestCanonicalMatchesLettersWider:
+    def test_more_pairs(self):
+        rng = random.Random(1302)
+        # dividing and non-dividing pairs beyond BS(1,3) and BS(2,4)
+        for _ in range(300):
+            w = "".join(rng.choice("tTaA") for _ in range(rng.randint(0, 8)))
+            for params in (P12, P23, P35, P36):
+                assert canonical_matches_letters(w, params)
+
+
+class TestCanonicalKeepsBrittonPattern:
+    def test_unreduced_random_words(self):
+        rng = random.Random(1303)
+        for _ in range(1000):
+            u = random_alt(rng, max_k=10, max_coeff=rng.choice((4, 12, 10**6)))
+            for params in (P12, P23, P24, P35, P36):
+                red = britton_reduce(u, params)
+                c = canonical_form(u, params)
+                assert c.theta == red.theta
+                assert canonical_form(red, params) == c
