@@ -78,7 +78,7 @@ from .oracle import (
     oracle_llnf,
     save_ball,
 )
-from .pnf import BrittonPnf, flatten_pnf, hill_pnf, make_britton_pnf, peak_wrap_pnf
+from .pnf import BrittonPnf, flatten_pnf, hill_pnf, make_britton_pnf
 from .words import (
     AltWord,
     GroupParams,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import stats
-from .words import AltWord, GroupParams, height_profile
+from .words import AltWord, GroupParams, _is_valley
 
 
 def _pinch_pass(u: AltWord, params: GroupParams) -> tuple[list[int], list[str]]:
@@ -117,10 +117,9 @@ def classify(u: AltWord, params: GroupParams) -> Classification:
     """Classify the Britton reduction of u."""
     w = britton_reduce(u, params)
     k = len(w.theta)
-    prof = height_profile(w)
     horocyclic = k == 0
     hill = _is_hill_pattern(w.theta)
-    valley = max(prof) == 0 and prof[-1] == 0
+    valley = _is_valley(w)
     difficult = k > 0 and w.theta[0] == "T" and w.theta[-1] == "t"
     return Classification(horocyclic, hill, valley, difficult)
 

@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-expansion",
         type=_count,
         default=10**6,
-        help="letter limit when expanding words for --raw output",
+        help="letter limit of --raw britton and canonical output; llnf and pnf"
+        " print geodesics, never longer than the input, in full",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

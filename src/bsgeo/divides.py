@@ -72,16 +72,11 @@ from .errors import (
     UnsupportedCase,
 )
 from .horocyclic import _small_ints, int_norm, residues_mod
-from .pnf import (
-    BrittonPnf,
-    _wrap_flanks,
-    flatten_pnf,
-    horocyclic_core_solver,
-    make_britton_pnf,
-)
+from .pnf import BrittonPnf, _integer_core, _wrap_flanks, flatten_pnf, make_britton_pnf
 from .words import (
     AltWord,
     GroupParams,
+    _is_valley,
     alt_from_symbols,
     height_profile,
     involute,
@@ -162,11 +157,6 @@ class ValleyTree:
         """The valley word spelled by the tree (inverse of valley_parse)."""
         view = partial(_node_view, self.nodes)
         return alt_from_symbols(_walk_symbols(self.root, view))
-
-
-def _is_valley(w: AltWord) -> bool:
-    prof = height_profile(w)
-    return max(prof) == 0 and prof[-1] == 0
 
 
 def valley_parse(v: AltWord) -> ValleyTree:
@@ -416,12 +406,8 @@ def valley_pnf(v: AltWord, params: GroupParams) -> BrittonPnf:
     return make_britton_pnf(_valley_word(v, params), params)
 
 
-def difficult_pnf(u: AltWord, params: GroupParams) -> BrittonPnf:
-    """Peak normal form of a difficult word via its two valley halves."""
-    _require_divides(params)
-    w = britton_reduce(u, params)
-    if not (w.theta and w.theta[0] == "T" and w.theta[-1] == "t"):
-        raise NotDifficult(f"t-sequence {w.theta!r} must start with T and end with t")
+def _difficult_word(w: AltWord, params: GroupParams) -> AltWord:
+    """Pnf word of a Britton-reduced difficult word via its two valley halves."""
     prof = height_profile(w)
     ell = max(prof)
     m = ell - prof[-1]
@@ -438,34 +424,43 @@ def difficult_pnf(u: AltWord, params: GroupParams) -> BrittonPnf:
         raise InternalError("the carry pass cancelled a pair of a reduced valley")
     if any(P.alpha[:ell]) or Q.theta[KQ - m :] != "t" * m or any(Q.alpha[KQ - m + 1 :]):
         raise InternalError("valley pnf lost the T^ell prefix or the t^m suffix")
-    word = AltWord(
+    return AltWord(
         P.alpha[ell:jstar] + Q.alpha[: KQ - m + 1],
         P.theta[ell:jstar] + Q.theta[: KQ - m],
     )
-    return make_britton_pnf(word, params)
+
+
+def difficult_pnf(u: AltWord, params: GroupParams) -> BrittonPnf:
+    """Peak normal form of a difficult word: Britton-reduce, then ``_difficult_word``."""
+    _require_divides(params)
+    w = britton_reduce(u, params)
+    if not (w.theta and w.theta[0] == "T" and w.theta[-1] == "t"):
+        raise NotDifficult(f"t-sequence {w.theta!r} must start with T and end with t")
+    return make_britton_pnf(_difficult_word(w, params), params)
 
 
 def full_pnf(w: str | AltWord, params: GroupParams) -> tuple[BrittonPnf, str, int]:
     """Peak normal form of an arbitrary word.
 
     Returns (Britton peak normal form, flattened geodesic letters, geodesic
-    length).  For p not dividing q this works whenever the core of the
-    Britton reduction is horocyclic (hills in particular) and raises
-    UnsupportedCase otherwise.
+    length).  ``decompose`` Britton-reduces the input once, and the flank
+    peel hands each shifted core to ``_difficult_word`` or, for an integer
+    core, keeps it.  For p not dividing q this works whenever the core is
+    horocyclic (hills in particular) and raises UnsupportedCase otherwise.
     """
     u = to_alt(w) if isinstance(w, str) else w
     dec = decompose(u, params)
     if dec.core.theta == "":
-        solver = horocyclic_core_solver(params)
+        solve_core = _integer_core
     elif params.divides:
-        solver = partial(difficult_pnf, params=params)
+        solve_core = partial(_difficult_word, params=params)
     else:
         raise UnsupportedCase(
             "computing geodesics of difficult words (t-sequence starting with"
             f" T and ending with t) is an open problem for p={params.p},"
             f" q={params.q} with p not dividing q"
         )
-    bp = _wrap_flanks(dec, solver, params)
+    bp = _wrap_flanks(dec, solve_core, params)
     flat = flatten_pnf(bp, params)
     return bp, flat, len(flat)
 

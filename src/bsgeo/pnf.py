@@ -10,7 +10,7 @@ never takes part in comparisons.  Flattening each coefficient through
 ``int_llnf`` turns the Britton peak normal form into the geodesic peak
 normal form.
 
-``peak_wrap_pnf`` reduces a word with flanks  alpha_1 t ... alpha_k t D
+``_wrap_flanks`` reduces a word with flanks  alpha_1 t ... alpha_k t D
 T beta_1 ... T beta_m  to normal forms of a bounded family of core words
 rho D' delta with |rho|, |delta| <= r: after a carry pass brings all flank
 coefficients into [0, q), the left flank is peeled from the outside in,
@@ -28,8 +28,11 @@ key, right rank, core reversed post-peak key) is spelled from the
 back-pointers.  This is exact: norms add; all paths through a flank emit
 the same number of tokens and a path's tokens fix its carry, so distinct
 carries get distinct ranks and the core keys only break ties between equal
-carries.  Horocyclic cores are immediate, difficult cores are delegated to
-the caller-supplied solver.
+carries.  The shifts touch only the core's boundary coefficients, which
+lie outside every pinch, so each shifted core is still Britton-reduced and
+the core solver maps it straight to its normal-form word: an integer core
+is its own (``_integer_core``), a difficult one is solved by ``divides``.
+One ``BrittonPnf`` is built per call, for the winning word.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import InternalError, NotAHill
 from .horocyclic import _small_ints, int_llnf, norm, r_llnf, residues_mod
 from .words import AltWord, GroupParams, peak_key, peak_position
 
-__all__ = ["BrittonPnf", "make_britton_pnf", "flatten_pnf", "peak_wrap_pnf", "hill_pnf"]
+__all__ = ["BrittonPnf", "make_britton_pnf", "flatten_pnf", "hill_pnf"]
 
 
 @dataclass(frozen=True)
@@ -152,11 +155,17 @@ def _spell(levels: list[dict], carry: int) -> list[int]:
     return out[::-1]
 
 
+def _integer_core(w: AltWord) -> AltWord:
+    """An integer core is its own Britton peak normal form."""
+    return w
+
+
 def _wrap_flanks(
     dec: Decomposition,
-    core_solver: Callable[[AltWord], BrittonPnf],
+    solve_core: Callable[[AltWord], AltWord],
     params: GroupParams,
 ) -> BrittonPnf:
+    """Britton pnf of ``dec``; ``solve_core`` maps a reduced core to its pnf word."""
     left, rho_carry = _carry_flank(dec.alphas, params)
     right, delta_carry = _carry_flank(dec.betas[::-1], params)
     left_states, left_levels = _peel(left, 1, params)
@@ -168,11 +177,11 @@ def _wrap_flanks(
             alpha = list(core.alpha)
             alpha[0] += rho_carry + rho
             alpha[-1] += delta_carry + delta
-            b = core_solver(AltWord(tuple(alpha), core.theta))
-            pre, post = peak_key(b.word)
-            key = (left_norm + b.norm + right_norm, left_rank, pre, right_rank, post)
+            w = solve_core(AltWord(tuple(alpha), core.theta))
+            pre, post = peak_key(w)
+            key = (left_norm + norm(w, params) + right_norm, left_rank, pre, right_rank, post)
             if best is None or key < best[0]:
-                best = (key, rho, delta, b.word)
+                best = (key, rho, delta, w)
     _, rho, delta, w = best
     left_gammas = _spell(left_levels, rho)
     right_gammas = _spell(right_levels, delta)[::-1]
@@ -183,35 +192,9 @@ def _wrap_flanks(
     return make_britton_pnf(word, params)
 
 
-def peak_wrap_pnf(
-    u: AltWord,
-    core_solver: Callable[[AltWord], BrittonPnf],
-    params: GroupParams,
-) -> BrittonPnf:
-    """Peak normal form of a word via its flank decomposition.
-
-    ``core_solver`` receives Britton-reduced words rho D delta (the core D
-    of u with its boundary coefficients shifted) and must return their
-    Britton peak normal forms; it is consulted for a bounded number of
-    (rho, delta) pairs, once for each.
-    """
-    return _wrap_flanks(decompose(u, params), core_solver, params)
-
-
-def horocyclic_core_solver(params: GroupParams) -> Callable[[AltWord], BrittonPnf]:
-    """Core solver for integer cores; their only reduced form is themselves."""
-
-    def solve(w: AltWord) -> BrittonPnf:
-        if w.theta:
-            raise NotAHill(f"core {w} is not horocyclic")
-        return make_britton_pnf(w, params)
-
-    return solve
-
-
 def hill_pnf(u: AltWord, params: GroupParams) -> BrittonPnf:
     """Peak normal form of a hill (t-sequence t^k T^m), in linear time."""
     dec = decompose(u, params)
     if dec.core.theta:
         raise NotAHill(f"core {dec.core} is not horocyclic")
-    return _wrap_flanks(dec, horocyclic_core_solver(params), params)
+    return _wrap_flanks(dec, _integer_core, params)

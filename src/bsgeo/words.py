@@ -183,6 +183,12 @@ def height_profile(u: AltWord) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _is_valley(u: AltWord) -> bool:
+    """The height profile stays at or below 0 and ends at 0."""
+    prof = height_profile(u)
+    return max(prof) == 0 and prof[-1] == 0
+
+
 def height(u: AltWord) -> int:
     """max_i h(i)."""
     return max(height_profile(u))

@@ -81,7 +81,7 @@ def reference_wrap_flanks(dec, core_solver, params):
         ca = list(core.alpha)
         ca[0] += rho
         ca[-1] += delta
-        return _val_from_pnf(core_solver(AltWord(tuple(ca), core.theta)))
+        return _val_from_pnf(make_britton_pnf(core_solver(AltWord(tuple(ca), core.theta)), params))
 
     def moves(flank, i, x):
         cons = flank[i - 2] if i >= 2 else 0

@@ -104,6 +104,16 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "a" * 3**10
 
+    def test_expansion_limit_bounds_only_britton_and_canonical(self):
+        # llnf and pnf print geodesics, never longer than the parsed input
+        for command in ("llnf", "pnf"):
+            proc = run_cli("--p", "2", "--q", "4", "--raw", "--max-expansion", "3", command, "1000")
+            assert proc.returncode == 0
+            assert len(proc.stdout.strip()) == 24
+        proc = run_cli("--p", "2", "--q", "4", "--raw", "--max-expansion", "3", "britton", "1000")
+        assert proc.returncode == 1
+        assert "exceeds limit" in proc.stderr
+
     @pytest.mark.parametrize(
         "coefficient",
         ["100000000000000000000", "7" * 5000],

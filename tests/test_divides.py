@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from conftest import P12, P13, P23, P24, P26, P36, iter_words, random_valley
+from conftest import P12, P13, P23, P24, P26, P36, iter_words, random_alt, random_valley
 from reference_families import (
     reference_families,
     reference_valley_family,
@@ -27,6 +27,7 @@ from bsgeo import (
     ball,
     britton_reduce,
     classify,
+    decompose,
     difficult_pnf,
     equal,
     flatten_pnf,
@@ -51,6 +52,7 @@ from bsgeo import (
 )
 import bsgeo.britton
 import bsgeo.divides
+import bsgeo.pnf
 from bsgeo import stats
 from bsgeo.divides import _families
 from bsgeo.horocyclic import _small_ints
@@ -400,6 +402,43 @@ class TestFullPnf:
         bp, flat, length = full_pnf(u, P24)
         assert (flat, length) == ("TatataTaTat", 11)
         assert 1 <= len(calls) <= 2
+
+    def test_flanked_core_is_reduced_and_wrapped_once(self, monkeypatch):
+        # the flank peel solves every (rho, delta) core to a word; only the
+        # winner becomes a BrittonPnf, and no shifted core is reduced again
+        u = to_alt(parse_word("5t1T1t1T7"))  # 2 left carries x 2 right carries
+        assert decompose(u, P24).core.theta == "Tt"
+        reduced, wrapped = [], []
+        real_reduce = bsgeo.britton.britton_reduce
+        real_wrap = bsgeo.pnf.make_britton_pnf
+
+        def counting_reduce(u, params):
+            reduced.append(u)
+            return real_reduce(u, params)
+
+        def counting_wrap(w, params):
+            wrapped.append(w)
+            return real_wrap(w, params)
+
+        monkeypatch.setattr(bsgeo.britton, "britton_reduce", counting_reduce)
+        monkeypatch.setattr(bsgeo.divides, "britton_reduce", counting_reduce)
+        monkeypatch.setattr(bsgeo.pnf, "make_britton_pnf", counting_wrap)
+        monkeypatch.setattr(bsgeo.divides, "make_britton_pnf", counting_wrap)
+        bp, flat, length = full_pnf(u, P24)
+        assert equal(u, to_alt(flat), P24)
+        assert (len(reduced), len(wrapped)) == (1, 1)
+
+    @pytest.mark.parametrize("params", [P24, P36], ids=["BS(2,4)", "BS(3,6)"])
+    def test_difficult_pnf_matches_full_pnf_on_unreduced_words(self, params):
+        rng = random.Random(15)
+        compared = 0
+        while compared < 300:
+            u = random_alt(rng, max_k=10, max_coeff=12)
+            w = britton_reduce(u, params)
+            if is_britton_reduced(u, params) or not (w.theta[:1] == "T" and w.theta[-1:] == "t"):
+                continue
+            assert difficult_pnf(u, params).word == full_pnf(u, params)[0].word, u
+            compared += 1
 
     def test_geodesic_length_examples(self):
         assert geodesic_length(parse_word(APPENDIX), P13) == 13
