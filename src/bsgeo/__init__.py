@@ -6,10 +6,11 @@ computes, for arbitrary input words over {t, T, a, A}:
 * Britton reductions, t-sequences, and structural classes,
 * canonical (irreducible) forms deciding the word problem,
 * length-lexicographic normal forms and geodesic lengths of horocyclic
-  elements: a greedy split plus a linear-time rank DP over integer cells
-  (``slope_llnf``), checked against the quadratic whole-word reference DP
-  (``slope_dp_table``) and the paper's constant-memory variant emitting a
-  back-referenced matrix (``slope_dp_optimized``),
+  elements: a greedy split plus a linear-time rank DP over (length, rank)
+  cells of only the rows that reach the answer (``slope_llnf``), checked
+  against the quadratic whole-word reference DP (``slope_dp_table``) and
+  the paper's constant-memory variant emitting a back-referenced matrix
+  (``slope_dp_optimized``),
 * peak normal forms: for hills with any parameters, and for every element
   when p divides q,
 * a brute-force Cayley-ball oracle for validation.
@@ -91,6 +92,7 @@ from .words import (
     height_profile,
     involute,
     ll_key,
+    parse_alt,
     parse_word,
     peak_count,
     peak_position,

@@ -24,7 +24,7 @@ from .oracle import ball, oracle_geolen, oracle_llnf, save_ball
 from .words import (
     AltWord,
     GroupParams,
-    parse_word,
+    parse_alt,
     render_word,
     to_alt,
     to_raw,
@@ -55,7 +55,7 @@ def _emit(args, fields: dict) -> None:
 
 
 def _word_arg(args) -> AltWord:
-    return to_alt(parse_word(args.word))
+    return parse_alt(args.word)
 
 
 def _render_text(args, w: AltWord, cls) -> str:
@@ -320,13 +320,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:
-        # parse_word spells coefficients out in letters; one beyond sys.maxsize
-        # cannot even be allocated
-        print(f"error: coefficient too large to expand ({exc})", file=sys.stderr)
+        # parse_alt spells a t^n or T^n run out in letters; a run beyond
+        # sys.maxsize cannot even be allocated
+        print(f"error: run too long to expand ({exc})", file=sys.stderr)
         return 1
     except MemoryError:
         # the same expansion can also ask for more memory than there is
-        print("error: out of memory expanding the coefficients into letters", file=sys.stderr)
+        print("error: out of memory expanding a t-run into letters", file=sys.stderr)
         return 1
     except OSError as exc:
         # e.g. oracle ball --out into a missing directory

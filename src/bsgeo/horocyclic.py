@@ -21,27 +21,30 @@ positive integer with r >= p*(r+q-1)/q + q - 1; the recurrence
 
 starts from llnf(rho) for |rho| <= r + q.  That integer table
 (``base_table``) is the same DP run on the zero slope 0 T 0 ... T 0, with
-the same ``_rank_step`` per level, so every integer's llnf comes from one
+the same ``_step`` per level, so every integer's llnf comes from one
 recurrence and one implementation of it.
 
 Three implementations of this DP agree letter for letter:
 
 * the rank DP that production uses (``base_table``, and ``slope_llnf`` for
-  ``int_llnf``, ``int_norm`` and every pnf).  A cell is an integer made of
-  its word's length, the word's lexicographic rank within the column, and
-  a back-pointer (predecessor rank, trailing gamma); words are spelled
-  once, at the end.  Ranks suffice because the words are prefix-free as
-  token sequences.  Cut a word before every t and T: each piece, a token,
-  is a letter plus an a-run, and the order of words with t < T < a < A is
-  that of their token sequences, with runs ordered 0 < 1 < ... < -1 < -2 < ...
+  ``int_llnf``, ``int_norm`` and every pnf).  A cell is a row's (word
+  length, lexicographic rank of the word within the column), with a
+  back-pointer (previous row, trailing gamma); words are spelled once, at
+  the end.  Ranks suffice because the words are prefix-free as token
+  sequences.  Cut a word before every t and T: each piece, a token, is a
+  letter plus an a-run, and the order of words with t < T < a < A is that
+  of their token sequences, with runs ordered 0 < 1 < ... < -1 < -2 < ...
   No two unary or staircase words (t^j a0 T a1 ... T aj) are token prefixes
   of each other, and a column appends one token T a^gamma, which keeps that
   true.  So equal-length candidates compare as (predecessor rank, run of
-  gamma), and one sort of such pairs ranks the next column: O(r log r)
-  small-integer operations, so llnf(a^alpha) takes time linear in the bit
+  gamma), and one sort of such pairs ranks the next column.  ``slope_llnf``
+  touches only the backward cone of its answer, the rows that the row of
+  the last coefficient reads column by column, so a column costs
+  O(w log w) for a cone width w <= 2r + 1 (on random slopes w <= 13 of
+  601 rows in BS(12,13)), and llnf(a^alpha) takes time linear in the bit
   length of alpha after the greedy phase.
 * ``slope_dp_table``, the quadratic reference: every column stores and
-  compares whole words (``_column_step``).
+  compares whole words (``_column_step``) for every |rho| <= r.
 * ``slope_dp_optimized``, the paper's constant-memory matrix variant: it
   keeps only suffixes (all hidden prefixes share a common length) plus the
   lexicographic order of the hidden prefixes, and emits one matrix column
@@ -51,15 +54,15 @@ Three implementations of this DP agree letter for letter:
 
 Norms: ||alpha|| = len(int_llnf(alpha)) and ||u|| = k + sum ||alpha_i||.
 
-``base_table``, the rank DP's column 0 and its per-coefficient candidates
-are cached per parameter pair; all functions are pure after that, so safe
-under threads, but the one process-wide ``stats.ops`` count mixes calls.
+``base_table`` is cached per parameter pair; all functions are pure after
+that, so safe under threads, but the one process-wide ``stats.ops`` count
+mixes calls.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
+from operator import itemgetter
 
 from . import stats
 from .britton import britton_reduce
@@ -109,16 +112,14 @@ def base_table(params: GroupParams) -> dict[int, str]:
     The slope DP looks up |rho| <= r + q; the wider table also covers every
     |rho| < 2q.  An llnf that uses t is a staircase t^j a0 T a1 ... T aj:
     t^j and a word of the zero slope 0 T ... T 0.  So column 0 holds the
-    unary words, column j is one ``_rank_step`` (beta = 0) of column j - 1,
-    and each row keeps the least (j + length, -j), as t is the least letter;
-    per-column minima are exact because shortlex forms are prefix-closed.
-    Tests pin it to a staircase search and to the string DP
+    unary words, column j is one ``_step`` (beta = 0) of column j - 1 over
+    every row, and each row keeps the least (j + length, -j), as t is the
+    least letter; per-column minima are exact because shortlex forms are
+    prefix-closed.  Tests pin it to a staircase search and to the string DP
     (``tests/reference_base_table.py``).  Levels stop once j + 2 + the
     shortest word of column j exceeds the longest kept entry, as no later
-    level is shorter (BS(1,100) runs 27 of its 150 levels).  Build times
-    (CPU, Python 3.11, 2-vCPU VM): 0.06 s for BS(12,13), 0.13 s at radius
-    496 (0.25 and 0.55 s with the string DP).  Tables wider than
-    ``MAX_TABLE_RADIUS`` raise ``LimitExceeded`` at once.
+    level is shorter (BS(1,100) runs 27 of its 150 levels).  Tables wider
+    than ``MAX_TABLE_RADIUS`` raise ``LimitExceeded`` at once.
     """
     bound = r_llnf(params) + 2 * params.q - 1
     if bound > MAX_TABLE_RADIUS:
@@ -126,24 +127,22 @@ def base_table(params: GroupParams) -> dict[int, str]:
             f"the integer table of BS({params.p},{params.q}) has radius {bound}"
             f" > {MAX_TABLE_RADIUS}"
         )
-    m, w = _key_scale(params)
-    words = tuple(_run(rho) for rho in range(-bound, bound + 1))
-    order, packed = _rank_words(words, m, w)
-    moves = _column_moves(params, 0, bound, bound)
-    best = [(len(word), 0) for word in words]  # (j + length, -j) per row
-    orders, lows = [], []
+    unary = {rho: _run(rho) for rho in range(-bound, bound + 1)}
+    cands = {rho: _dp_candidates(0, rho, params, bound) for rho in unary}
+    col = _ranked(unary, unary)
+    best = {rho: (len(word), 0) for rho, word in unary.items()}  # (j + length, -j)
+    backs = []
     # for j > bound // 2, t^j T^j alone is longer than every unary word
     for j in range(1, bound // 2 + 1):
-        orders.append(order)
-        low, order, packed = _rank_step(packed, moves, m, w)
-        lows.append(low)
-        lengths = [c // w for c in packed[:-1]]
-        best = [min(b, (j + n, -j)) for b, n in zip(best, lengths)]
-        if j + 2 + min(lengths) > max(best)[0]:
+        col, back = _step(col, cands, params.q)
+        backs.append(back)
+        for rho, (n, _) in col.items():
+            best[rho] = min(best[rho], (j + n, -j))
+        if j + 2 + min(n for n, _ in col.values()) > max(best.values())[0]:
             break
     return {
-        row - bound: "t" * j + _spell(words, lows[:j], orders[:j], row, params.q)
-        for row, j in enumerate(-neg_j for _, neg_j in best)
+        rho: "t" * -neg_j + _spell(unary, backs[:-neg_j], rho)
+        for rho, (_, neg_j) in best.items()
     }
 
 
@@ -193,6 +192,8 @@ def _dp_candidates(
         prev = mu * p + beta_i
         if abs(prev) <= prev_bound:
             out.append((prev, gamma))
+    if not 1 <= len(out) <= 2:
+        raise InternalError(f"row {rho} of the DP has {len(out)} candidates")
     return out
 
 
@@ -230,110 +231,68 @@ def slope_dp_table(s: AltWord, params: GroupParams) -> list[dict[int, str]]:
 def slope_llnf(s: AltWord, params: GroupParams) -> str:
     """The length-lexicographic normal form of a slope, as a letter word.
 
-    Runs the rank DP (see the module docstring) from ``_base_column``: one
-    ``_rank_step`` per coefficient but the last, then one ``_spell`` of the
-    row of the last coefficient.
+    A backward pass collects the cone: per column, the rows that the row of
+    the last coefficient reads.  A forward pass runs one ``_step`` per
+    coefficient but the last over those rows, from their ``base_table``
+    words, and one ``_spell`` follows the back-pointers.
     """
     _check_slope(s, params)
     if not s.theta:
         return base_table(params)[s.alpha[0]]
     r, q = r_llnf(params), params.q
-    m, w = _key_scale(params)
-    words, order, packed = _base_column(params)
-    orders, lows = [], []
-    for i, beta in enumerate(s.alpha[:-1]):
-        orders.append(order)
-        moves = _column_moves(params, beta, r, r if i else r + q)
-        low, order, packed = _rank_step(packed, moves, m, w)
-        lows.append(low)
-    return _spell(words, lows, orders, s.alpha[-1] + r, q)
-
-
-def _rank_step(packed: list, moves: tuple, m: int, w: int) -> tuple:
-    """One rank-DP column: (low parts, rows in rank order, packed cells).
-
-    Each row takes its least candidate key, whose low part, (predecessor
-    rank, gamma key), is its back-pointer and orders the new column.
-    """
-    moves1, moves2, n_cands = moves
-    stats.ops.tick(n_cands)
-    keys1 = [packed[j] + c for j, c in moves1]
-    keys = list(map(min, keys1, [packed[j] + c for j, c in moves2]))
-    low = [k % w for k in keys]
-    order = sorted(range(len(keys)), key=low.__getitem__)
-    packed = [math.inf] * (len(keys) + 1)
-    for rank, j in enumerate(order):
-        packed[j] = keys[j] - low[j] + rank * m
-    return low, order, packed
-
-
-def _spell(words: tuple[str, ...], lows: list, orders: list, row: int, q: int) -> str:
-    """The word of a row of the last column, by following its back-pointers.
-
-    ``words`` is column 0, ``orders[i]`` the rows of column i in rank order,
-    ``lows[i]`` column i + 1's low parts: rank * m + gamma key, with m = 2q.
-    """
-    tail = []
-    for low, order in zip(reversed(lows), reversed(orders)):
-        rank, gkey = divmod(low[row], 2 * q)
-        tail.append("T" + _run(gkey if gkey < q else q - gkey))
-        row = order[rank]
-    return words[row] + "".join(reversed(tail))
-
-
-@lru_cache(maxsize=None)
-def _base_column(params: GroupParams) -> tuple[tuple[str, ...], tuple[int, ...], tuple]:
-    """Column 0 of the slope DP (rho = j - r - q in row j): words, order, cells."""
-    r, q = r_llnf(params), params.q
+    rows, cone = (s.alpha[-1],), []
+    for i in range(len(s.theta) - 1, -1, -1):
+        bound = r if i else r + q
+        cone.append({rho: _dp_candidates(s.alpha[i], rho, params, bound) for rho in rows})
+        rows = {x for pairs in cone[-1].values() for x, _ in pairs}
     base = base_table(params)
-    words = tuple(base[rho] for rho in range(-r - q, r + q + 1))
-    order, packed = _rank_words(words, *_key_scale(params))
-    return words, tuple(order), tuple(packed)
+    col, backs = _ranked(base, rows), []
+    while cone:
+        col, back = _step(col, cone.pop(), q)
+        backs.append(back)
+    return _spell(base, backs, s.alpha[-1])
 
 
-def _rank_words(words: tuple[str, ...], m: int, w: int) -> tuple[list[int], list]:
-    """Rows in letter order, cells ``length * W + rank * m`` and an infinite one."""
-    order = sorted(range(len(words)), key=lambda j: words[j].translate(_LL_RANK))
-    packed = [math.inf] * (len(words) + 1)
-    for rank, j in enumerate(order):
-        packed[j] = len(words[j]) * w + rank * m
-    return order, packed
+def _ranked(words: dict[int, str], rows) -> dict[int, tuple[int, int]]:
+    """A first column: each row's (word length, rank of its word in letter order)."""
+    order = sorted(rows, key=lambda rho: words[rho].translate(_LL_RANK))
+    return {rho: (len(words[rho]), rank) for rank, rho in enumerate(order)}
 
 
-def _key_scale(params: GroupParams) -> tuple[int, int]:
-    """(m, W) of the packed cells: m > any gamma key, W > rank * m + key in any column."""
-    m = 2 * params.q
-    return m, (2 * (r_llnf(params) + 2 * params.q - 1) + 1) * m
+def _step(col: dict, cands: dict, q: int) -> tuple[dict, dict]:
+    """One rank-DP column: each row's (length, rank), and its (prev, gamma).
 
-
-@lru_cache(maxsize=None)
-def _column_moves(params: GroupParams, beta: int, radius: int, pred_radius: int) -> tuple:
-    """The candidates of one rank-DP column: (moves1, moves2, how many there are).
-
-    Row j holds rho = j - radius; the predecessor column's row for prev is
-    prev + pred_radius.  A candidate (prev row, weight) stands for
-    llnf(u(i, prev)) T a^gamma, and its weight (1 + |gamma|) * W + key(gamma)
-    is what appending the token adds to a packed cell.  The gamma key orders
-    a-runs as the letters do: 0 < 1 < ... < q-1 < -1 < ..., i.e. key = gamma
-    or q - gamma.  A row has one or two candidates (one per residue of rho
-    mod q); a row with one reads its second from the infinite cell past the
-    last row.
+    A row takes its least candidate (length, predecessor rank, gamma key).
+    The gamma key orders a-runs as the letters do: 0 < 1 < ... < q-1 < -1
+    < ..., i.e. key = gamma or q - gamma.  (predecessor rank, gamma key)
+    orders the words of the new column, so sorting the rows by it ranks them.
     """
-    q = params.q
-    _, w = _key_scale(params)
-    none = (2 * pred_radius + 1, 0)
-    moves1, moves2 = [], []
-    for rho in range(-radius, radius + 1):
-        cands = [
-            (prev + pred_radius, (1 + abs(g)) * w + (g if g >= 0 else q - g))
-            for prev, g in _dp_candidates(beta, rho, params, pred_radius)
-        ]
-        if not 1 <= len(cands) <= 2:
-            raise InternalError(f"row {rho} of the rank DP has {len(cands)} candidates")
-        moves1.append(cands[0])
-        moves2.append(cands[1] if len(cands) == 2 else none)
-    n_cands = sum(c is not none for c in moves2) + len(moves1)
-    return tuple(moves1), tuple(moves2), n_cands
+    cells, n_cands = [], 0
+    for rho, pairs in cands.items():
+        n_cands += len(pairs)
+        best = None
+        for x, g in pairs:
+            length, rank = col[x]
+            cell = (length + 1 + abs(g), rank, g if g >= 0 else q - g, x, g, rho)
+            if best is None or cell < best:
+                best = cell
+        cells.append(best)
+    stats.ops.tick(n_cands)
+    cells.sort(key=itemgetter(1, 2))
+    ranked, back = {}, {}
+    for rank, cell in enumerate(cells):
+        ranked[cell[5]] = (cell[0], rank)
+        back[cell[5]] = cell[3:5]
+    return ranked, back
+
+
+def _spell(words: dict[int, str], backs: list[dict], row: int) -> str:
+    """A last-column row's word: its column-0 word, then each T a^gamma of ``backs``."""
+    tail = []
+    for back in reversed(backs):
+        row, gamma = back[row]
+        tail.append("T" + _run(gamma))
+    return words[row] + "".join(reversed(tail))
 
 
 Matrix = list[dict[int, tuple[str, int | None]]]

@@ -32,7 +32,7 @@ from .words import (
     AltWord,
     GroupParams,
     alt_from_int,
-    parse_word,
+    parse_alt,
     peak_key,
     render_word,
     to_alt,
@@ -113,7 +113,7 @@ def load_ball(path: str, params: GroupParams, radius: int) -> BallIndex:
             if not line:
                 continue
             key_text, n, word = line.split("\t")
-            table[to_alt(parse_word(key_text))] = (int(n), word)
+            table[parse_alt(key_text)] = (int(n), word)
     return BallIndex(params, radius, table)
 
 

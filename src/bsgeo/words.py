@@ -129,11 +129,11 @@ def to_raw(u: AltWord, max_len: int) -> str:
     n = word_length(u)
     if n > max_len:
         raise ExpansionLimit(f"expansion to {n} letters exceeds limit {max_len}")
-    parts = [_run(u.alpha[0])]
-    for i, th in enumerate(u.theta):
-        parts.append(th)
-        parts.append(_run(u.alpha[i + 1]))
-    return "".join(parts)
+    return _letters(u)
+
+
+def _letters(u: AltWord) -> str:
+    return _run(u.alpha[0]) + "".join(th + _run(a) for th, a in zip(u.theta, u.alpha[1:]))
 
 
 def _run(n: int) -> str:
@@ -228,50 +228,60 @@ def peak_count(u: AltWord) -> int:
 # text notation
 # ---------------------------------------------------------------------------
 
-def parse_word(text: str) -> str:
-    """Parse the compact notation into a letter word.
+def parse_alt(text: str) -> AltWord:
+    """Parse the compact notation straight into an alternating word.
 
     Tokens: the letters t, T, a, A; a letter followed by ^n with n >= 1;
     or a signed integer n standing for a^n (A^-n when n < 0, nothing when
-    n == 0).  Whitespace between tokens is ignored.
+    n == 0).  Whitespace between tokens is ignored.  a/A tokens and integers
+    add to the current coefficient, which is never spelled out in letters;
+    t^n and T^n still add n letters to the t-sequence.
 
-    >>> parse_word("t^3 5T2T1T1")
-    'tttaaaaaTaaTaTa'
+    >>> parse_alt("t^2 5T-2 a^3")
+    AltWord(alpha=(0, 0, 5, 1), theta='ttT')
     """
-    out: list[str] = []
+    alpha, theta = [0], []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
         elif c in LETTERS:
-            if i + 1 < n and text[i + 1] == "^":
-                j = i + 2
-                start = j
-                while j < n and text[j].isdigit():
+            e, i = 1, i + 1
+            if i < n and text[i] == "^":
+                j = start = i + 1
+                while j < n and text[j].isdecimal():
                     j += 1
                 if start == j:
                     raise ParseError("expected a positive exponent after '^'", start)
-                e = int(text[start:j])
+                e, i = int(text[start:j]), j
                 if e <= 0:
                     raise ParseError("exponent must be positive", start)
-                out.append(c * e)
-                i = j
+            if c in "tT":
+                theta.append(c * e)
+                alpha.extend([0] * e)
             else:
-                out.append(c)
-                i += 1
-        elif c == "-" or c.isdigit():
-            j = i + 1 if c == "-" else i
-            start = j
-            while j < n and text[j].isdigit():
+                alpha[-1] += e if c == "a" else -e
+        elif c == "-" or c.isdecimal():
+            j = start = i + 1 if c == "-" else i
+            while j < n and text[j].isdecimal():
                 j += 1
             if start == j:
                 raise ParseError("expected digits after '-'", i)
-            out.append(_run(int(text[i:j])))
+            alpha[-1] += int(text[i:j])
             i = j
         else:
             raise ParseError(f"unexpected character {c!r}", i)
-    return "".join(out)
+    return AltWord(tuple(alpha), "".join(theta))
+
+
+def parse_word(text: str) -> str:
+    """Parse the compact notation (see ``parse_alt``) into a letter word.
+
+    >>> parse_word("t^3 5T2T1T1")
+    'tttaaaaaTaaTaTa'
+    """
+    return _letters(parse_alt(text))
 
 
 def render_word(u: AltWord) -> str:
@@ -279,7 +289,7 @@ def render_word(u: AltWord) -> str:
 
     Nonzero coefficients print as signed integers, zero coefficients print
     as nothing, and runs of four or more equal letters fold to letter^n.
-    ``parse_word`` inverts this rendering.
+    ``parse_alt`` inverts this rendering.
     """
     tokens: list[str] = []
     if u.alpha[0]:

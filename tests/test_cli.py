@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from bsgeo import GroupParams, int_norm
 from bsgeo.cli import main
 
 APPENDIX = "7t14T-2tt9T2T23"
@@ -120,9 +121,9 @@ class TestExitCodes:
         ids=["20-digits", "5000-digits"],
     )
     def test_huge_coefficient_is_a_clean_error(self, coefficient):
-        # 10^20 > sys.maxsize: spelling it out in letters raises OverflowError;
-        # 5000 digits also exceed the interpreter's default int/str limit
-        proc = run_cli("--p", "1", "--q", "2", "geolen", coefficient)
+        # a t-run of 10^20 > sys.maxsize letters raises OverflowError when it
+        # is spelled out; 5000 digits also exceed the default int/str limit
+        proc = run_cli("--p", "1", "--q", "2", "geolen", "t^" + coefficient)
         assert proc.returncode == 1
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -130,13 +131,24 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_unallocatable_coefficient_is_a_clean_error(self):
-        # 10^15 < sys.maxsize, but its 10^15 letters cannot be allocated
-        proc = run_cli("--p", "1", "--q", "2", "geolen", str(10**15))
+        # 10^15 < sys.maxsize, but a t-run of 10^15 letters cannot be allocated
+        proc = run_cli("--p", "1", "--q", "2", "geolen", f"t^{10**15}")
         assert proc.returncode == 1
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "coefficient, text",
+        [(10**20, "1" + "0" * 20), (7 * (10**5000 - 1) // 9, "7" * 5000), (10**15, "1" + "0" * 15)],
+        ids=["20-digits", "5000-digits", "10^15"],
+    )
+    def test_huge_coefficient_is_answered(self, coefficient, text):
+        # coefficients are parsed as integers, never spelled out in letters
+        proc = run_cli("--p", "1", "--q", "2", "geolen", text)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{int_norm(coefficient, GroupParams(1, 2))}\n"
 
     def test_table_beyond_cost_guard_is_a_clean_error(self):
         # BS(40,41) has slope radius 3240: its integer table is refused at once

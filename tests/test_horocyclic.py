@@ -48,6 +48,9 @@ REFERENCE_PAIRS = tuple(
 
 APPENDIX = to_alt(parse_word("7t14T-2tt9T2T23"))
 
+# pairs beyond q <= 8, up to the widest tables MAX_TABLE_RADIUS admits
+WIDE_PAIRS = [(9, 10), (12, 13), (1, 100), (15, 16), (1, 166)]
+
 
 def test_r_llnf_values():
     assert r_llnf(P13) == 4
@@ -80,7 +83,7 @@ class TestBaseTable:
 
     # BS(15,16) (radius 496) and BS(1,166) (radius 498) are the widest tables
     # that MAX_TABLE_RADIUS admits
-    @pytest.mark.parametrize("p, q", [(9, 10), (12, 13), (1, 100), (15, 16), (1, 166)])
+    @pytest.mark.parametrize("p, q", WIDE_PAIRS)
     def test_early_stop_matches_all_levels(self, p, q):
         params = GroupParams(p, q)
         assert base_table(params) == full_level_base_table(params)
@@ -101,7 +104,7 @@ class TestBaseTable:
             raise AssertionError("the string column step ran on the production path")
 
         monkeypatch.setattr(horocyclic, "_column_step", refuse)
-        for cached in (base_table, horocyclic._base_column, _small_ints, _int_llnf_cached):
+        for cached in (base_table, _small_ints, _int_llnf_cached):
             cached.cache_clear()
         assert [answers(params, u) for params, u in cases] == want
 
@@ -195,6 +198,33 @@ class TestRankDP:
             for gamma in range(-(q - 1), q):
                 s2 = AltWord(s.alpha[:-1] + (gamma,), s.theta)
                 assert slope_llnf(s2, params) == last[gamma], (params, s2)
+
+    @pytest.mark.parametrize("p, q", WIDE_PAIRS)
+    def test_wide_pairs_match_reference(self, p, q):
+        params = GroupParams(p, q)
+        rng = random.Random(f"wide{params}")
+        for _ in range(2):
+            s = random_slope(rng, params, max_len=12)
+            while len(s.theta) < 4:
+                s = random_slope(rng, params, max_len=12)
+            last = slope_dp_table(s, params)[-1]
+            for gamma in range(-(q - 1), q):
+                s2 = AltWord(s.alpha[:-1] + (gamma,), s.theta)
+                assert slope_llnf(s2, params) == last[gamma], (params, s2)
+
+    @pytest.mark.parametrize("p, q", [(12, 13), (15, 16)])
+    def test_cone_is_narrow(self, p, q):
+        # the full columns have 2r + 1 = 601 and 931 rows, and a full-width
+        # DP ticks 1,155 and 1,803 candidates per column
+        params = GroupParams(p, q)
+        rng = random.Random(f"cone{params}")
+        base_table(params)
+        for _ in range(3):
+            digits = rng.randint(60, 120)
+            _, slope = greedy_slope(rng.randrange(10 ** (digits - 1), 10**digits), params)
+            stats.ops.reset()
+            slope_llnf(slope, params)
+            assert stats.ops.reset() <= 4 * q * len(slope.theta)
 
     @pytest.mark.parametrize("params", (P12, P13, P23, P24, P26, P36))
     def test_int_llnf_big_integers(self, params):

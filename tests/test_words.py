@@ -21,6 +21,7 @@ from bsgeo import (
     height_profile,
     involute,
     ll_key,
+    parse_alt,
     parse_word,
     peak_count,
     peak_position,
@@ -83,6 +84,17 @@ class TestParse:
             parse_word(text)
         assert err.value.offset == offset
 
+    def test_alt_keeps_coefficients_as_integers(self):
+        # 10^30 letters could never be spelled out
+        assert parse_alt("1" + "0" * 30 + "t a^3 A^5") == AltWord((10**30, -2), "t")
+        assert parse_alt("t^3 5T2T1T1") == to_alt(parse_word("t^3 5T2T1T1"))
+
+    def test_non_decimal_digit_is_a_parse_error(self):
+        # "²" counts as a digit for str.isdigit but int() rejects it
+        with pytest.raises(ParseError) as err:
+            parse_alt("a^²")
+        assert err.value.offset == 2
+
 
 class TestRender:
     def test_compact_examples(self):
@@ -100,6 +112,11 @@ class TestRender:
     @settings(max_examples=300)
     def test_roundtrip(self, u):
         assert to_alt(parse_word(render_word(u))) == to_alt(to_raw(u, 10**6))
+
+    @given(alt_words)
+    @settings(max_examples=300)
+    def test_alt_roundtrip(self, u):
+        assert parse_alt(render_word(u)) == u
 
 
 class TestAltRaw:
