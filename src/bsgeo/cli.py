@@ -3,9 +3,9 @@
 Every pipeline stage is exposed as a subcommand; words are given in the
 compact notation (e.g. "7t14T-2tt9T2T23").  Results go to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 parse error, verification
-mismatch, refused table or unwritable file, 2 unsupported case (difficult
-core with p not dividing q) or usage error (an unknown, missing or malformed
-option, a negative count included).
+mismatch, refused table or t-run, unwritable file, 2 unsupported case
+(difficult core with p not dividing q) or usage error (an unknown, missing
+or malformed option, a negative count included).
 """
 
 from __future__ import annotations
@@ -319,14 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     except BSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OverflowError as exc:
-        # parse_alt spells a t^n or T^n run out in letters; a run beyond
-        # sys.maxsize cannot even be allocated
-        print(f"error: run too long to expand ({exc})", file=sys.stderr)
-        return 1
     except MemoryError:
-        # the same expansion can also ask for more memory than there is
-        print("error: out of memory expanding a t-run into letters", file=sys.stderr)
+        # t-runs are bounded, but a valid word can still outgrow memory
+        print("error: out of memory", file=sys.stderr)
         return 1
     except OSError as exc:
         # e.g. oracle ball --out into a missing directory

@@ -37,12 +37,15 @@ Three implementations of this DP agree letter for letter:
   No two unary or staircase words (t^j a0 T a1 ... T aj) are token prefixes
   of each other, and a column appends one token T a^gamma, which keeps that
   true.  So equal-length candidates compare as (predecessor rank, run of
-  gamma), and one sort of such pairs ranks the next column.  ``slope_llnf``
-  touches only the backward cone of its answer, the rows that the row of
-  the last coefficient reads column by column, so a column costs
-  O(w log w) for a cone width w <= 2r + 1 (on random slopes w <= 13 of
-  601 rows in BS(12,13)), and llnf(a^alpha) takes time linear in the bit
-  length of alpha after the greedy phase.
+  gamma), and one sort of such pairs ranks the next column.  That step,
+  ``_step``, reads a token table gamma -> (cost, key) of the token gamma
+  appends, here (1 + |gamma|, run of gamma); the flank levels of ``pnf``
+  run on it with a table of their own, and ``_path`` walks back for both.
+  ``slope_llnf`` touches only the backward cone of its answer, the rows
+  that the row of the last coefficient reads column by column, so a
+  column costs O(w log w) for a cone width w <= 2r + 1 (on random slopes
+  w <= 13 of 601 rows in BS(12,13)), and llnf(a^alpha) takes time linear
+  in the bit length of alpha after the greedy phase.
 * ``slope_dp_table``, the quadratic reference: every column stores and
   compares whole words (``_column_step``) for every |rho| <= r.
 * ``slope_dp_optimized``, the paper's constant-memory matrix variant: it
@@ -129,12 +132,12 @@ def base_table(params: GroupParams) -> dict[int, str]:
         )
     unary = {rho: _run(rho) for rho in range(-bound, bound + 1)}
     cands = {rho: _dp_candidates(0, rho, params, bound) for rho in unary}
-    col = _ranked(unary, unary)
+    col, tokens = _ranked(unary, unary), _slope_tokens(params.q)
     best = {rho: (len(word), 0) for rho, word in unary.items()}  # (j + length, -j)
     backs = []
     # for j > bound // 2, t^j T^j alone is longer than every unary word
     for j in range(1, bound // 2 + 1):
-        col, back = _step(col, cands, params.q)
+        col, back = _step(col, cands, tokens)
         backs.append(back)
         for rho, (n, _) in col.items():
             best[rho] = min(best[rho], (j + n, -j))
@@ -245,10 +248,10 @@ def slope_llnf(s: AltWord, params: GroupParams) -> str:
         bound = r if i else r + q
         cone.append({rho: _dp_candidates(s.alpha[i], rho, params, bound) for rho in rows})
         rows = {x for pairs in cone[-1].values() for x, _ in pairs}
-    base = base_table(params)
+    base, tokens = base_table(params), _slope_tokens(q)
     col, backs = _ranked(base, rows), []
     while cone:
-        col, back = _step(col, cone.pop(), q)
+        col, back = _step(col, cone.pop(), tokens)
         backs.append(back)
     return _spell(base, backs, s.alpha[-1])
 
@@ -259,13 +262,19 @@ def _ranked(words: dict[int, str], rows) -> dict[int, tuple[int, int]]:
     return {rho: (len(words[rho]), rank) for rank, rho in enumerate(order)}
 
 
-def _step(col: dict, cands: dict, q: int) -> tuple[dict, dict]:
-    """One rank-DP column: each row's (length, rank), and its (prev, gamma).
+@lru_cache(maxsize=None)
+def _slope_tokens(q: int) -> dict[int, tuple[int, int]]:
+    """gamma -> (letters of T a^gamma, key ordering runs 0 < 1 < ... < q-1 < -1 < ...)."""
+    return {g: (1 + abs(g), g if g >= 0 else q - g) for g in range(1 - q, q)}
 
-    A row takes its least candidate (length, predecessor rank, gamma key).
-    The gamma key orders a-runs as the letters do: 0 < 1 < ... < q-1 < -1
-    < ..., i.e. key = gamma or q - gamma.  (predecessor rank, gamma key)
-    orders the words of the new column, so sorting the rows by it ranks them.
+
+def _step(col: dict, cands: dict, tokens: dict) -> tuple[dict, dict]:
+    """One rank-DP level: each row's (length, rank), and its (prev, gamma).
+
+    A row takes its least candidate (prev, gamma) by (length + cost,
+    predecessor rank, key), with gamma's (cost, key) from ``tokens``.  Keys
+    order tokens as the words do, so (predecessor rank, key) orders the
+    words of the new level, and sorting the rows by it ranks them.
     """
     cells, n_cands = [], 0
     for rho, pairs in cands.items():
@@ -273,7 +282,8 @@ def _step(col: dict, cands: dict, q: int) -> tuple[dict, dict]:
         best = None
         for x, g in pairs:
             length, rank = col[x]
-            cell = (length + 1 + abs(g), rank, g if g >= 0 else q - g, x, g, rho)
+            cost, key = tokens[g]
+            cell = (length + cost, rank, key, x, g, rho)
             if best is None or cell < best:
                 best = cell
         cells.append(best)
@@ -286,13 +296,19 @@ def _step(col: dict, cands: dict, q: int) -> tuple[dict, dict]:
     return ranked, back
 
 
-def _spell(words: dict[int, str], backs: list[dict], row: int) -> str:
-    """A last-column row's word: its column-0 word, then each T a^gamma of ``backs``."""
-    tail = []
+def _path(backs: list[dict], row) -> tuple[object, list[int]]:
+    """A last-level row's first-level row, and the gammas of its path in order."""
+    gammas = []
     for back in reversed(backs):
         row, gamma = back[row]
-        tail.append("T" + _run(gamma))
-    return words[row] + "".join(reversed(tail))
+        gammas.append(gamma)
+    return row, gammas[::-1]
+
+
+def _spell(words: dict[int, str], backs: list[dict], row: int) -> str:
+    """A last-column row's word: its column-0 word, then each T a^gamma of ``backs``."""
+    first, gammas = _path(backs, row)
+    return words[first] + "".join("T" + _run(g) for g in gammas)
 
 
 Matrix = list[dict[int, tuple[str, int | None]]]

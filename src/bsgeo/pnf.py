@@ -19,12 +19,12 @@ coefficients into [0, q), the left flank is peeled from the outside in,
                        x = mu q + gamma, |gamma| < q },
 
 and the right flank alike, read from its outer end.  Each flank is peeled
-once, by a forward rank DP like ``slope_llnf``'s: a level maps each carry
-to the norm of its least path and a back-pointer, and the carries of a
-level are ranked by (predecessor rank, token), which is the lexicographic
-order of their paths.  The core is solved once per pair (rho, delta) of
-final carries, and the pair that wins on (norm, left rank, core pre-peak
-key, right rank, core reversed post-peak key) is spelled from the
+once, one level per coefficient, by the slope DP's column step
+``horocyclic._step``: a level maps each carry to the norm and rank of its
+least path, ranked by (predecessor rank, token), the lexicographic order
+of the paths.  The core is solved once per pair (rho, delta) of final
+carries, and the pair that wins on (norm, left rank, core pre-peak key,
+right rank, core reversed post-peak key) is spelled from the
 back-pointers.  This is exact: norms add; all paths through a flank emit
 the same number of tokens and a path's tokens fix its carry, so distinct
 carries get distinct ranks and the core keys only break ties between equal
@@ -40,10 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import stats
 from .britton import Decomposition, decompose
 from .errors import InternalError, NotAHill
-from .horocyclic import _small_ints, int_llnf, norm, r_llnf, residues_mod
+from .horocyclic import _path, _small_ints, _step, int_llnf, norm, r_llnf, residues_mod
 from .words import AltWord, GroupParams, peak_key, peak_position
 
 __all__ = ["BrittonPnf", "make_britton_pnf", "flatten_pnf", "hill_pnf"]
@@ -93,66 +92,41 @@ def flatten_pnf(b: BrittonPnf, params: GroupParams) -> str:
 # flank peeling
 # ---------------------------------------------------------------------------
 
-def _carry_flank(flank, params: GroupParams) -> tuple[list[int], int]:
-    """Carry coefficients, given outermost first, into [0, q).
-
-    a^(mu q) t ~ t a^(mu p) moves left-flank excess inward, and T a^(mu q)
-    ~ a^(mu p) T moves right-flank excess inward.  Returns the reduced
-    coefficients outermost first and the carry left for the core.  The
-    carry is a multiple of p, so the core's boundary residues mod p, and
-    with them Britton-reducedness, are preserved.
-    """
-    out = []
-    carry = 0
-    for a in flank:
-        mu, rem = divmod(a + carry, params.q)
-        out.append(rem)
-        carry = mu * params.p
-    return out, carry
-
-
-def _peel(flank: list[int], sign: int, params: GroupParams) -> tuple[dict, list[dict]]:
+def _peel(flank, sign: int, params: GroupParams) -> tuple[dict, list[dict], int]:
     """The forward rank DP over one flank, coefficients outermost first.
+
+    A carry pass brings each coefficient into [0, q) on the way in: a^(mu q)
+    t ~ t a^(mu p) moves left-flank excess inward, and T a^(mu q) ~ a^(mu p)
+    T moves right-flank excess inward.  The excess left for the core is a
+    multiple of p, so the core's boundary residues mod p, and with them
+    Britton-reducedness, are preserved.
 
     A state is the carry into the next coefficient.  Peeling x = mu q +
     gamma emits the token gamma t (left, ``sign`` +1) or, read from the
-    outside, -gamma t (right, ``sign`` -1) and carries mu p inward.  A
-    candidate for a carry is (norm, pred rank, token key, gamma, pred carry)
-    and the least one wins; the carries are then ranked by (pred rank, token
-    key), the lexicographic order of their paths.  Returns the last level
-    as carry -> (norm, rank), and per level the back-pointers carry ->
-    (gamma, pred carry).
+    outside, -gamma t (right, ``sign`` -1) and carries mu p inward.  A level
+    is the slope DP's column step ``horocyclic._step`` over each next
+    carry's (carry, gamma) pairs, with the token table gamma -> (||gamma||
+    + 1, sym_key(sign gamma)).  Returns the last level as carry -> (norm,
+    rank), per level the back-pointers carry -> (pred carry, gamma), and
+    the excess left for the core.
     """
     p, q, r = params.p, params.q, r_llnf(params)
     small = _small_ints(params)
-    states = {0: (0, 0)}
-    levels = []
+    tokens = {g: (n + 1, small[sign * g][1]) for g, (n, _) in small.items()}
+    states, levels, excess = {0: (0, 0)}, [], 0
     for a in flank:
-        best: dict[int, tuple] = {}
-        for carry, (n, rank) in states.items():
+        mu, a = divmod(a + excess, q)
+        excess = mu * p
+        cands: dict[int, list] = {}
+        for carry in states:
             x = carry + a
             if abs(x) > r:
                 raise InternalError("flank peel escaped the table radius")
             for gamma in residues_mod(x, q):
-                stats.ops.tick()
-                nxt = (x - gamma) // q * p
-                n_cand = n + small[gamma][0] + 1
-                cand = (n_cand, rank, small[sign * gamma][1], gamma, carry)
-                if nxt not in best or cand < best[nxt]:
-                    best[nxt] = cand
-        order = sorted(best, key=lambda c: best[c][1:3])
-        states = {c: (best[c][0], rank) for rank, c in enumerate(order)}
-        levels.append({c: v[3:] for c, v in best.items()})
-    return states, levels
-
-
-def _spell(levels: list[dict], carry: int) -> list[int]:
-    """The gammas of the least path to ``carry``, outermost first."""
-    out = []
-    for level in reversed(levels):
-        gamma, carry = level[carry]
-        out.append(gamma)
-    return out[::-1]
+                cands.setdefault((x - gamma) // q * p, []).append((carry, gamma))
+        states, back = _step(states, cands, tokens)
+        levels.append(back)
+    return states, levels, excess
 
 
 def _integer_core(w: AltWord) -> AltWord:
@@ -166,10 +140,8 @@ def _wrap_flanks(
     params: GroupParams,
 ) -> BrittonPnf:
     """Britton pnf of ``dec``; ``solve_core`` maps a reduced core to its pnf word."""
-    left, rho_carry = _carry_flank(dec.alphas, params)
-    right, delta_carry = _carry_flank(dec.betas[::-1], params)
-    left_states, left_levels = _peel(left, 1, params)
-    right_states, right_levels = _peel(right, -1, params)
+    left_states, left_levels, rho_carry = _peel(dec.alphas, 1, params)
+    right_states, right_levels, delta_carry = _peel(dec.betas[::-1], -1, params)
     core = dec.core
     best = None
     for rho, (left_norm, left_rank) in left_states.items():
@@ -183,10 +155,10 @@ def _wrap_flanks(
             if best is None or key < best[0]:
                 best = (key, rho, delta, w)
     _, rho, delta, w = best
-    left_gammas = _spell(left_levels, rho)
-    right_gammas = _spell(right_levels, delta)[::-1]
+    _, left_gammas = _path(left_levels, rho)
+    _, right_gammas = _path(right_levels, delta)
     word = AltWord(
-        (*left_gammas, *w.alpha, *right_gammas),
+        (*left_gammas, *w.alpha, *right_gammas[::-1]),
         "t" * len(left_gammas) + w.theta + "T" * len(right_gammas),
     )
     return make_britton_pnf(word, params)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ExpansionLimit, ParseError
+from .errors import ExpansionLimit, LimitExceeded, ParseError
 
 LETTERS = "tTaA"
 
@@ -228,6 +228,11 @@ def peak_count(u: AltWord) -> int:
 # text notation
 # ---------------------------------------------------------------------------
 
+# t^n adds n letters to the t-sequence, so a word with more t and T letters
+# than this is refused (LimitExceeded) before any of them is allocated
+MAX_T_LETTERS = 10**7
+
+
 def parse_alt(text: str) -> AltWord:
     """Parse the compact notation straight into an alternating word.
 
@@ -235,43 +240,54 @@ def parse_alt(text: str) -> AltWord:
     or a signed integer n standing for a^n (A^-n when n < 0, nothing when
     n == 0).  Whitespace between tokens is ignored.  a/A tokens and integers
     add to the current coefficient, which is never spelled out in letters;
-    t^n and T^n still add n letters to the t-sequence.
+    t^n and T^n still add n letters to the t-sequence, at most
+    ``MAX_T_LETTERS`` in all.
 
     >>> parse_alt("t^2 5T-2 a^3")
     AltWord(alpha=(0, 0, 5, 1), theta='ttT')
     """
-    alpha, theta = [0], []
+    alpha, theta, letters = [0], [], 0
     i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in LETTERS:
-            e, i = 1, i + 1
-            if i < n and text[i] == "^":
-                j = start = i + 1
+    try:
+        while i < n:
+            c = text[i]
+            if c.isspace():
+                i += 1
+            elif c in LETTERS:
+                e, i = 1, i + 1
+                if i < n and text[i] == "^":
+                    j = start = i + 1
+                    while j < n and text[j].isdecimal():
+                        j += 1
+                    if start == j:
+                        raise ParseError("expected a positive exponent after '^'", start)
+                    # checked on the digits, so a huge n is never converted
+                    digits = text[start:j].lstrip("0")
+                    if c in "tT" and len(digits) > len(str(MAX_T_LETTERS)):
+                        raise LimitExceeded(f"a t-run of more than {MAX_T_LETTERS} letters")
+                    e, i = int(text[start:j]), j
+                    if e <= 0:
+                        raise ParseError("exponent must be positive", start)
+                if c in "tT":
+                    letters += e
+                    if letters > MAX_T_LETTERS:
+                        raise LimitExceeded(f"more than {MAX_T_LETTERS} t and T letters")
+                    theta.append(c * e)
+                    alpha.extend([0] * e)
+                else:
+                    alpha[-1] += e if c == "a" else -e
+            elif c == "-" or c.isdecimal():
+                j = start = i + 1 if c == "-" else i
                 while j < n and text[j].isdecimal():
                     j += 1
                 if start == j:
-                    raise ParseError("expected a positive exponent after '^'", start)
-                e, i = int(text[start:j]), j
-                if e <= 0:
-                    raise ParseError("exponent must be positive", start)
-            if c in "tT":
-                theta.append(c * e)
-                alpha.extend([0] * e)
+                    raise ParseError("expected digits after '-'", i)
+                alpha[-1] += int(text[i:j])
+                i = j
             else:
-                alpha[-1] += e if c == "a" else -e
-        elif c == "-" or c.isdecimal():
-            j = start = i + 1 if c == "-" else i
-            while j < n and text[j].isdecimal():
-                j += 1
-            if start == j:
-                raise ParseError("expected digits after '-'", i)
-            alpha[-1] += int(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
+                raise ParseError(f"unexpected character {c!r}", i)
+    except ValueError:  # int() beyond the interpreter's int/str digit limit
+        raise ParseError("too many digits to convert to an integer", i) from None
     return AltWord(tuple(alpha), "".join(theta))
 
 

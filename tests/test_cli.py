@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -117,13 +118,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "coefficient",
-        ["100000000000000000000", "7" * 5000],
-        ids=["20-digits", "5000-digits"],
+        ["100000000000000000000", "7" * 5000, "1000000000"],
+        ids=["20-digits", "5000-digits", "10^9"],
     )
     def test_huge_coefficient_is_a_clean_error(self, coefficient):
-        # a t-run of 10^20 > sys.maxsize letters raises OverflowError when it
-        # is spelled out; 5000 digits also exceed the default int/str limit
+        # a t-run beyond words.MAX_T_LETTERS is refused on its digit count,
+        # before its exponent is converted or any letter allocated
+        start = time.perf_counter()
         proc = run_cli("--p", "1", "--q", "2", "geolen", "t^" + coefficient)
+        assert time.perf_counter() - start < 5  # interpreter start-up included
         assert proc.returncode == 1
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -131,7 +134,7 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_unallocatable_coefficient_is_a_clean_error(self):
-        # 10^15 < sys.maxsize, but a t-run of 10^15 letters cannot be allocated
+        # 10^15 < sys.maxsize, but a t-run of 10^15 letters exceeds words.MAX_T_LETTERS
         proc = run_cli("--p", "1", "--q", "2", "geolen", f"t^{10**15}")
         assert proc.returncode == 1
         assert proc.stdout == ""

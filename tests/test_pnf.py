@@ -28,6 +28,7 @@ from bsgeo import (
     parse_word,
     to_alt,
 )
+from bsgeo import horocyclic, pnf
 from bsgeo.pnf import _integer_core, _wrap_flanks
 
 APPENDIX = to_alt(parse_word("7t14T-2tt9T2T23"))
@@ -181,12 +182,31 @@ class TestFlankPeelReference:
 
     def test_random_hills(self):
         rng = random.Random(8)
-        for params in (P23, GroupParams(3, 5), P13, P24):
+        wide = (GroupParams(5, 6), GroupParams(12, 13))  # q/p near 1: the most carries per level
+        for params in (P23, GroupParams(3, 5), P13, P24, *wide):
             solver = _integer_core
             for _ in range(60):
                 coeff_max = rng.choice((10, 1000, 10**6))
                 u = self._flanked(rng, "", coeff_max, coeff_max=coeff_max)
                 self._check(decompose(u, params), solver, params)
+
+    @pytest.mark.parametrize("params", [P23, GroupParams(5, 6), P24])
+    def test_each_flank_level_is_one_shared_step(self, params, monkeypatch):
+        # the flank peel runs every level on the slope DP's column step
+        rng = random.Random(10)
+        u = self._flanked(rng, "", 50, flank_max=30, coeff_max=10**6)
+        dec = decompose(u, params)
+        hill_pnf(u, params)  # warm the integer caches
+        step, calls = horocyclic._step, []
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        for module in (horocyclic, pnf):
+            monkeypatch.setattr(module, "_step", counted)
+        hill_pnf(u, params)
+        assert len(calls) == len(dec.alphas) + len(dec.betas) > 0
 
     def test_flanks_around_difficult_cores(self):
         rng = random.Random(9)

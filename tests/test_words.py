@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import doctest
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from bsgeo import (
     AltWord,
     ExpansionLimit,
     GroupParams,
+    LimitExceeded,
     ParseError,
     alt_from_symbols,
     cmp_delta,
@@ -88,6 +90,27 @@ class TestParse:
         # 10^30 letters could never be spelled out
         assert parse_alt("1" + "0" * 30 + "t a^3 A^5") == AltWord((10**30, -2), "t")
         assert parse_alt("t^3 5T2T1T1") == to_alt(parse_word("t^3 5T2T1T1"))
+
+    def test_t_letters_are_bounded(self, monkeypatch):
+        # an exponent over the bound is refused before anything is allocated
+        limit = bsgeo.words.MAX_T_LETTERS
+        for text in (f"t^{limit + 1}", "t^" + "9" * 5000):
+            with pytest.raises(LimitExceeded):
+                parse_alt(text)
+        # the bound counts every t and T letter; leading zeros do not count
+        monkeypatch.setattr(bsgeo.words, "MAX_T_LETTERS", 12)
+        assert parse_alt("t^0000000010 TT 1") == AltWord((0,) * 12 + (1,), "t" * 10 + "TT")
+        with pytest.raises(LimitExceeded):
+            parse_alt("t^10 T^2 t")
+
+    @pytest.mark.parametrize("text", ["7" * 5000, "-" + "7" * 5000, "a^" + "7" * 5000])
+    def test_digits_beyond_the_int_limit_are_a_parse_error(self, text):
+        # the CLI lifts the interpreter's int/str digit cap; a library call
+        # under the default cap gets a ParseError, not a bare ValueError
+        if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            pytest.skip("this interpreter converts integers of any length")
+        with pytest.raises(ParseError):
+            parse_alt(text)
 
     def test_non_decimal_digit_is_a_parse_error(self):
         # "²" counts as a digit for str.isdigit but int() rejects it
