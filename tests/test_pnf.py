@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
-from conftest import P12, P13, P23, P24, iter_words, random_alt
+from conftest import P12, P13, P23, P24, P35, P36, iter_words, random_alt
 from reference_peel import reference_wrap_flanks
 
 import pytest
@@ -20,6 +22,7 @@ from bsgeo import (
     difficult_pnf,
     equal,
     flatten_pnf,
+    full_pnf,
     hill_pnf,
     involute,
     make_britton_pnf,
@@ -28,7 +31,7 @@ from bsgeo import (
     parse_word,
     to_alt,
 )
-from bsgeo import horocyclic, pnf
+from bsgeo import horocyclic, pnf, stats
 from bsgeo.pnf import _integer_core, _wrap_flanks
 
 APPENDIX = to_alt(parse_word("7t14T-2tt9T2T23"))
@@ -192,7 +195,8 @@ class TestFlankPeelReference:
 
     @pytest.mark.parametrize("params", [P23, GroupParams(5, 6), P24])
     def test_each_flank_level_is_one_shared_step(self, params, monkeypatch):
-        # the flank peel runs every level on the slope DP's column step
+        # the flank peel builds every level on the slope DP's column step,
+        # at most once per level with a cleared table and never on a repeat
         rng = random.Random(10)
         u = self._flanked(rng, "", 50, flank_max=30, coeff_max=10**6)
         dec = decompose(u, params)
@@ -205,8 +209,33 @@ class TestFlankPeelReference:
 
         for module in (horocyclic, pnf):
             monkeypatch.setattr(module, "_step", counted)
-        hill_pnf(u, params)
-        assert len(calls) == len(dec.alphas) + len(dec.betas) > 0
+        _clear_peel_tables(params)
+        cold = hill_pnf(u, params)
+        assert 1 <= len(calls) <= len(dec.alphas) + len(dec.betas)
+        calls.clear()
+        assert hill_pnf(u, params) == cold
+        assert not calls
+
+    def test_dominated_carry_is_dropped(self, monkeypatch):
+        # after the flank 1 t 0 t 0 t of BS(2,3) the step keeps carries 0 and
+        # 2, and carry 2 is three letters longer: 3 > ||2|| = 2, so it goes
+        levels = []
+
+        def recorded(*args):
+            level, back = horocyclic._step(*args)
+            levels.append(level)
+            return level, back
+
+        monkeypatch.setattr(pnf, "_step", recorded)
+        _clear_peel_tables(P23)
+        dec = decompose(AltWord((1, 0, 0, 5, 1), "tttT"), P23)
+        assert dec.alphas == (1, 0, 0)
+        states, _, _ = pnf._peel(dec.alphas, 1, P23)
+        last = levels[len(dec.alphas) - 1]
+        assert set(last) == {0, 2} and last[2][0] - last[0][0] == 3
+        assert horocyclic.int_norm(2, P23) == 2
+        assert set(states) == {0}
+        self._check(dec, _integer_core, P23)
 
     def test_flanks_around_difficult_cores(self):
         rng = random.Random(9)
@@ -223,3 +252,105 @@ class TestFlankPeelReference:
                 continue  # Britton reduction left no difficult core
             self._check(dec, solver, P24)
             compared += 1
+
+
+def _clear_peel_tables(params):
+    for sign in (1, -1):
+        pnf._peel_table(params, sign).clear()
+
+
+class TestPeelTable:
+    # the memoised peel answers as if every level were built afresh
+
+    PAIRS = (P23, P35, GroupParams(5, 6), GroupParams(12, 13), GroupParams(1, 166), P24, P36)
+
+    @staticmethod
+    def _words(params, rng, n):
+        out = []
+        while len(out) < n:
+            core = ""
+            if params.divides and rng.random() < 0.5:
+                core = "T" + "".join(rng.choice("tT") for _ in range(rng.randint(0, 3))) + "t"
+            coeff_max = rng.choice((10, 1000, 10**6))
+            u = TestFlankPeelReference._flanked(rng, core, 12, flank_max=25, coeff_max=coeff_max)
+            if core and not decompose(u, params).core.theta:
+                continue  # Britton reduction left no difficult core
+            out.append(u)
+        return out
+
+    @staticmethod
+    def _counted(u, params):
+        stats.ops.reset()
+        bp, flat, length = full_pnf(u, params)
+        return bp.word, flat, length, stats.ops.reset()
+
+    @pytest.mark.parametrize("params", PAIRS)
+    def test_warm_and_cold_tables_agree(self, params):
+        # outputs and per-call op counts do not depend on what is cached
+        rng = random.Random(31 * params.q + params.p)
+        words = self._words(params, rng, 12)
+        for u in words:
+            full_pnf(u, params)  # warm the integer caches
+        cold = []
+        for u in words:
+            _clear_peel_tables(params)
+            cold.append(self._counted(u, params))
+        assert [self._counted(u, params) for u in words] == cold
+
+    def test_threads_share_a_cold_table(self):
+        rng = random.Random(32)
+        jobs = [(params, u) for params in (P23, P35, P24) for u in self._words(params, rng, 10)]
+        want = [full_pnf(u, params) for params, u in jobs]
+        for params in (P23, P35, P24):
+            _clear_peel_tables(params)
+        results, errors = {}, []
+        start = threading.Barrier(4)
+
+        def worker(i):
+            try:
+                start.wait(timeout=10)
+                order = list(range(len(jobs)))
+                random.Random(i).shuffle(order)
+                results[i] = {j: full_pnf(jobs[j][1], jobs[j][0]) for j in order}
+            except Exception as e:  # reported below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        for got in results.values():
+            assert [got[j] for j in range(len(jobs))] == want
+        assert len(results) == 4
+
+    def test_table_stays_within_its_bound(self, monkeypatch):
+        # BS(12,13) hills keep making new states: the table fills and clears
+        params = GroupParams(12, 13)
+        add, sizes = pnf._PeelTable.add, []
+
+        def checked(table, *args):
+            edge = add(table, *args)
+            sizes.append(len(table.edges))
+            assert len(table.edges) <= pnf.MAX_PEEL_EDGES
+            assert len(table.ids) <= pnf.MAX_PEEL_EDGES + 1
+            return edge
+
+        monkeypatch.setattr(pnf._PeelTable, "add", checked)
+        _clear_peel_tables(params)
+        rng = random.Random(33)
+        while len(sizes) < 3 * pnf.MAX_PEEL_EDGES:
+            k, m = rng.randint(200, 400), rng.randint(200, 400)
+            u = AltWord(
+                tuple(rng.randint(-10**6, 10**6) for _ in range(k + m + 1)),
+                "t" * k + "T" * m,
+            )
+            hill_pnf(u, params)
+        assert sizes.count(1) >= 3  # two fresh tables, then at least one clear
