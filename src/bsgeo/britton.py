@@ -27,32 +27,47 @@ from . import stats
 from .words import AltWord, GroupParams, _is_valley
 
 
+_OTHER = {"t": "T", "T": "t"}
+
+
 def _pinch_pass(u: AltWord, params: GroupParams) -> tuple[list[int], list[str]]:
     """Coefficients and letters of a Britton reduction of u, leftmost-innermost.
 
     Single left-to-right stack pass: whenever the letter about to be pushed
     forms a pinch t a^(mu p) T or T a^(mu q) t with the top of the stack, the
     pair is removed and the transported coefficient merged.  Coefficients are
-    kept as integers, so each step costs one arithmetic operation.
+    kept as integers, so each step costs one arithmetic operation.  Only a
+    letter that differs from the stack top can pinch, so once a letter of a
+    run of equal letters is pushed, the rest of the run is pushed in one
+    slice.  ``stats.ops`` counts one op per letter of u.
     """
     p, q = params.p, params.q
-    alphas = [u.alpha[0]]
+    alpha, theta = u.alpha, u.theta
+    alphas = [alpha[0]]
     thetas: list[str] = []
-    for idx, th in enumerate(u.theta):
-        stats.ops.tick()
-        nxt = u.alpha[idx + 1]
-        c = alphas[-1]
-        if thetas and thetas[-1] == "t" and th == "T" and c % p == 0:
-            thetas.pop()
-            alphas.pop()
-            alphas[-1] += (c // p) * q + nxt
-        elif thetas and thetas[-1] == "T" and th == "t" and c % q == 0:
-            thetas.pop()
-            alphas.pop()
-            alphas[-1] += (c // q) * p + nxt
-        else:
+    stats.ops.tick(len(theta))
+    i, k = 0, len(theta)
+    while i < k:
+        th = theta[i]
+        if thetas and thetas[-1] != th:
+            # t a^(mu p) T -> a^(mu q) and T a^(mu q) t -> a^(mu p)
+            c, (m, n) = alphas[-1], (p, q) if th == "T" else (q, p)
+            if c % m == 0:
+                thetas.pop()
+                alphas.pop()
+                alphas[-1] += (c // m) * n + alpha[i + 1]
+                i += 1
+                continue
+        j = theta.find(_OTHER[th], i + 1)
+        if j < 0:
+            j = k
+        if j == i + 1:  # a run of one letter, the common case in short words
             thetas.append(th)
-            alphas.append(nxt)
+            alphas.append(alpha[j])
+        else:
+            thetas += theta[i:j]
+            alphas += alpha[i + 1 : j + 1]
+        i = j
     return alphas, thetas
 
 
@@ -154,11 +169,7 @@ def decompose(u: AltWord, params: GroupParams) -> Decomposition:
     """Split britton_reduce(u) into t-flank, core, and T-flank."""
     w = britton_reduce(u, params)
     k = len(w.theta)
-    i = 0
-    while i < k and w.theta[i] == "t":
-        i += 1
-    j = 0
-    while j < k - i and w.theta[k - 1 - j] == "T":
-        j += 1
+    i = k - len(w.theta.lstrip("t"))
+    j = k - i - len(w.theta[i:].rstrip("T"))
     core = AltWord(w.alpha[i : k + 1 - j], w.theta[i : k - j])
     return Decomposition(w.alpha[:i], core, w.alpha[k + 1 - j :])

@@ -3,7 +3,8 @@
 Every pipeline stage is exposed as a subcommand; words are given in the
 compact notation (e.g. "7t14T-2tt9T2T23").  Results go to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 parse error, verification
-mismatch, refused table or t-run, unwritable file, 2 unsupported case
+mismatch, refused table, t-run or ball, unwritable file, or any other
+error (one ``error:`` line, no traceback), 2 unsupported case
 (difficult core with p not dividing q) or usage error (an unknown, missing
 or malformed option, a negative count included).
 """
@@ -326,6 +327,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         # e.g. oracle ball --out into a missing directory
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # any other failure is a bug, but still one line and exit 1, never a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:
         if digit_limit:

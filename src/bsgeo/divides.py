@@ -445,8 +445,10 @@ def full_pnf(w: str | AltWord, params: GroupParams) -> tuple[BrittonPnf, str, in
     Returns (Britton peak normal form, flattened geodesic letters, geodesic
     length).  ``decompose`` Britton-reduces the input once, and the flank
     peel hands each shifted core to ``_difficult_word`` or, for an integer
-    core, keeps it.  For p not dividing q this works whenever the core is
-    horocyclic (hills in particular) and raises UnsupportedCase otherwise.
+    core, keeps it.  Only the winning word is spelled, and its length is
+    the norm, so a^N runs one slope pass.  For p not dividing q this works
+    whenever the core is horocyclic (hills in particular) and raises
+    UnsupportedCase otherwise.
     """
     u = to_alt(w) if isinstance(w, str) else w
     dec = decompose(u, params)
@@ -460,9 +462,9 @@ def full_pnf(w: str | AltWord, params: GroupParams) -> tuple[BrittonPnf, str, in
             f" T and ending with t) is an open problem for p={params.p},"
             f" q={params.q} with p not dividing q"
         )
-    bp = _wrap_flanks(dec, solve_core, params)
-    flat = flatten_pnf(bp, params)
-    return bp, flat, len(flat)
+    word = _wrap_flanks(dec, solve_core, params)
+    flat = flatten_pnf(word, params)
+    return make_britton_pnf(word, params, len(flat)), flat, len(flat)
 
 
 def geodesic_length(w: str | AltWord, params: GroupParams) -> int:

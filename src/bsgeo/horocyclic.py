@@ -27,7 +27,7 @@ recurrence and one implementation of it.
 Three implementations of this DP agree letter for letter:
 
 * the rank DP that production uses (``base_table``, and ``slope_llnf`` for
-  ``int_llnf``, ``int_norm`` and every pnf).  A cell is a row's (word
+  ``int_llnf`` and every flattened pnf).  A cell is a row's (word
   length, lexicographic rank of the word within the column), with a
   back-pointer (previous row, trailing gamma); words are spelled once, at
   the end.  Ranks suffice because the words are prefix-free as token
@@ -56,6 +56,11 @@ Three implementations of this DP agree letter for letter:
   back-references from any cell to the full normal form.
 
 Norms: ||alpha|| = len(int_llnf(alpha)) and ||u|| = k + sum ||alpha_i||.
+``int_norm`` counts it without spelling a word: the ll order compares
+lengths first, so the forward pass over the same cone (``_cone``) can keep
+only each row's least length (``_cone_lengths``), with no ranks,
+back-pointers or sort.  ``_shifted_norms`` serves the shifted integer cores
+x + s of the flank peel from one such cone.
 
 ``base_table`` is cached per parameter pair; all functions are pure after
 that, so safe under threads, but the one process-wide ``stats.ops`` count
@@ -234,26 +239,68 @@ def slope_dp_table(s: AltWord, params: GroupParams) -> list[dict[int, str]]:
 def slope_llnf(s: AltWord, params: GroupParams) -> str:
     """The length-lexicographic normal form of a slope, as a letter word.
 
-    A backward pass collects the cone: per column, the rows that the row of
-    the last coefficient reads.  A forward pass runs one ``_step`` per
-    coefficient but the last over those rows, from their ``base_table``
-    words, and one ``_spell`` follows the back-pointers.
+    ``_cone`` collects the rows that the row of the last coefficient reads,
+    column by column.  A forward pass runs one ``_step`` per coefficient
+    but the last over those rows, from their ``base_table`` words, and one
+    ``_spell`` follows the back-pointers.  ``_cone_lengths`` is the same
+    forward pass for lengths only.
     """
     _check_slope(s, params)
     if not s.theta:
         return base_table(params)[s.alpha[0]]
-    r, q = r_llnf(params), params.q
-    rows, cone = (s.alpha[-1],), []
-    for i in range(len(s.theta) - 1, -1, -1):
-        bound = r if i else r + q
-        cone.append({rho: _dp_candidates(s.alpha[i], rho, params, bound) for rho in rows})
-        rows = {x for pairs in cone[-1].values() for x, _ in pairs}
-    base, tokens = base_table(params), _slope_tokens(q)
+    cone, rows = _cone(s, (s.alpha[-1],), params)
+    base, tokens = base_table(params), _slope_tokens(params.q)
     col, backs = _ranked(base, rows), []
     while cone:
         col, back = _step(col, cone.pop(), tokens)
         backs.append(back)
     return _spell(base, backs, s.alpha[-1])
+
+
+def _cone(s: AltWord, rows, params: GroupParams) -> tuple[list[dict], set[int]]:
+    """The backward cone of ``rows`` of the last column of the slope ``s``.
+
+    Returns, last column first, each column's row -> (previous row, gamma)
+    candidates over the rows that ``rows`` read, and the rows of column 0
+    that the cone starts from.
+    """
+    r, q = r_llnf(params), params.q
+    cone = []
+    for i in range(len(s.theta) - 1, -1, -1):
+        bound = r if i else r + q
+        cone.append({rho: _dp_candidates(s.alpha[i], rho, params, bound) for rho in rows})
+        rows = {x for pairs in cone[-1].values() for x, _ in pairs}
+    return cone, rows
+
+
+def _cone_lengths(cone: list[dict], rows, params: GroupParams) -> dict[int, int]:
+    """The forward pass of ``_cone``'s output for lengths only: row -> least length.
+
+    The ll order compares lengths first, so each row's least
+    length + 1 + |gamma| over its candidates is the length of its llnf, and
+    no ranks, back-pointers or sort are needed.  Pops ``cone`` empty.
+    """
+    base = _base_lengths(params)
+    col, n_cands = {rho: base[rho] for rho in rows}, 0
+    while cone:
+        nxt = {}
+        for rho, pairs in cone.pop().items():
+            n_cands += len(pairs)
+            x, g = pairs[0]
+            n = col[x] + abs(g)
+            if len(pairs) > 1:
+                x, g = pairs[1]
+                n = min(n, col[x] + abs(g))
+            nxt[rho] = n + 1
+        col = nxt
+    stats.ops.tick(n_cands)
+    return col
+
+
+@lru_cache(maxsize=None)
+def _base_lengths(params: GroupParams) -> dict[int, int]:
+    """||rho|| for every row of ``base_table``."""
+    return {rho: len(w) for rho, w in base_table(params).items()}
 
 
 def _ranked(words: dict[int, str], rows) -> dict[int, tuple[int, int]]:
@@ -404,8 +451,63 @@ def int_llnf(alpha: int, params: GroupParams) -> str:
 
 
 def int_norm(alpha: int, params: GroupParams) -> int:
-    """The geodesic length ||alpha|| of the integer alpha."""
-    return len(_int_llnf_cached(alpha, params))
+    """The geodesic length ||alpha|| of the integer alpha, from lengths only."""
+    return _int_norm_cached(alpha, params)
+
+
+@lru_cache(maxsize=1 << 10)
+def _int_norm_cached(alpha: int, params: GroupParams) -> int:
+    ell, slope = greedy_slope(alpha, params)
+    if not slope.theta:
+        return ell + _base_lengths(params)[slope.alpha[0]]
+    cone, rows = _cone(slope, (slope.alpha[-1],), params)
+    return ell + _cone_lengths(cone, rows, params)[slope.alpha[-1]]
+
+
+def _greedy_len(alpha: int, params: GroupParams) -> int:
+    """The ell of ``greedy_slope(alpha)``, with no slope built.
+
+    For either sign a greedy step maps |cur| to p * floor(|cur| / q), so
+    the magnitude alone gives the step count.
+    """
+    p, q = params.p, params.q
+    m, ell = abs(alpha), 0
+    while m >= 2 * q:
+        m = m // q * p
+        ell += 1
+    return ell
+
+
+def _shifted_norms(x: int, shifts, params: GroupParams) -> dict[int, int]:
+    """s -> ||x + s|| for each shift s, most of them from one shared cone.
+
+    Let greedy_slope(x) = (ell, beta_0 T ... T beta_ell).  Then
+    a^(x+s) = t^ell u(ell, beta_ell + s), so when |beta_ell + s| <= r the
+    row beta_ell + s of the slope DP of x spells a word of a^(x+s), and
+    when ``greedy_slope(x + s)`` also splits off ell t's, llnf(a^(x+s)) is
+    t^ell followed by the llnf of that same element, so ||x + s|| is ell
+    plus that row's length.  One ``_cone`` seeded with all such rows and
+    one ``_cone_lengths`` pass give them all.  A shifted core within the
+    integer table reads its length there, and every other shift falls back
+    to ``int_norm``.  The tests compare every shift |s| <= 2r with
+    len(int_llnf(x + s)), also for x next to the magnitudes where ell grows.
+    """
+    ell, slope = greedy_slope(x, params)
+    last, r, base = slope.alpha[-1], r_llnf(params), _base_lengths(params)
+    out, rows = {}, {}
+    for s in shifts:
+        if x + s in base:
+            out[s] = base[x + s]
+        elif ell and abs(last + s) <= r and _greedy_len(x + s, params) == ell:
+            rows[last + s] = s
+        else:
+            out[s] = int_norm(x + s, params)
+    if rows:
+        cone, first = _cone(slope, rows, params)
+        lengths = _cone_lengths(cone, first, params)
+        for row, s in rows.items():
+            out[s] = ell + lengths[row]
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,8 @@ behind the peak is then least as well.  The peak is the rightmost highest
 position of the height profile, splitting u = u_1 alpha_i u_2; the peak
 coefficient itself is pinned down by u_1, u_2 and the group element, so it
 never takes part in comparisons.  Flattening each coefficient through
-``int_llnf`` turns the Britton peak normal form into the geodesic peak
-normal form.
+``int_llnf`` (``base_table`` for the small ones) turns the Britton peak
+normal form into the geodesic peak normal form, whose length is the norm.
 
 ``_wrap_flanks`` reduces a word with flanks  alpha_1 t ... alpha_k t D
 T beta_1 ... T beta_m  to normal forms of a bounded family of core words
@@ -39,22 +39,39 @@ a single pair wins without keys.  The shifts touch only the core's
 boundary coefficients, which lie outside every pinch, so each shifted
 core is still Britton-reduced and the core solver maps it straight to
 its normal-form word: an integer core is its own (``_integer_core``), a
-difficult one is solved by ``divides``.  One ``BrittonPnf`` is built per
-call, for the winning word.
+difficult one is solved by ``divides``.  An integer core x has empty peak
+keys, so its pairs are scored by length alone: the norms of all shifted
+cores x + rho + delta come from one lengths-only pass over one shared
+slope-DP cone (``horocyclic._shifted_norms``), and no candidate is
+spelled.  ``_wrap_flanks`` returns the winning word; ``full_pnf``
+flattens it once and takes the norm from the flattened length, and one
+``BrittonPnf`` is built per call.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count, repeat
+from operator import is_
 from typing import Callable
 
 from . import stats
 from .britton import Decomposition, decompose
 from .errors import InternalError, NotAHill
-from .horocyclic import _path, _small_ints, _step, int_llnf, int_norm, norm, r_llnf, residues_mod
+from .horocyclic import (
+    _path,
+    _shifted_norms,
+    _small_ints,
+    _step,
+    base_table,
+    int_llnf,
+    int_norm,
+    r_llnf,
+    residues_mod,
+)
+from .horocyclic import norm as _norm
 from .words import AltWord, GroupParams, peak_key, peak_position
 
 __all__ = ["BrittonPnf", "make_britton_pnf", "flatten_pnf", "hill_pnf"]
@@ -77,8 +94,8 @@ class BrittonPnf:
     norm: int
 
 
-def make_britton_pnf(word: AltWord, params: GroupParams) -> BrittonPnf:
-    """Wrap a Britton-reduced word with its peak split and norm."""
+def make_britton_pnf(word: AltWord, params: GroupParams, norm: int | None = None) -> BrittonPnf:
+    """Wrap a Britton-reduced word with its peak split and ``norm``, computed if None."""
     i = peak_position(word)
     syms = word.symbols()
     return BrittonPnf(
@@ -87,16 +104,23 @@ def make_britton_pnf(word: AltWord, params: GroupParams) -> BrittonPnf:
         u1=tuple(syms[: 2 * i]),
         peak_coeff=word.alpha[i],
         u2=tuple(syms[2 * i + 1 :]),
-        norm=norm(word, params),
+        norm=_norm(word, params) if norm is None else norm,
     )
 
 
-def flatten_pnf(b: BrittonPnf, params: GroupParams) -> str:
-    """Replace every coefficient by its llnf letters; the result is geodesic."""
-    parts = [int_llnf(b.word.alpha[0], params)]
-    for i, th in enumerate(b.word.theta):
-        parts.append(th)
-        parts.append(int_llnf(b.word.alpha[i + 1], params))
+def flatten_pnf(b: BrittonPnf | AltWord, params: GroupParams) -> str:
+    """Replace every coefficient of b (or of its word) by its llnf letters; the result is geodesic.
+
+    Coefficients within the integer table are read from ``base_table``
+    once per call; only larger ones go through ``int_llnf``.
+    """
+    word = b.word if isinstance(b, BrittonPnf) else b
+    spelled = list(map(base_table(params).get, word.alpha))
+    for i in compress(range(len(spelled)), map(is_, spelled, repeat(None))):
+        spelled[i] = int_llnf(word.alpha[i], params)
+    parts = [""] * (2 * len(spelled) - 1)
+    parts[::2] = spelled
+    parts[1::2] = word.theta
     return "".join(parts)
 
 
@@ -111,7 +135,7 @@ def flatten_pnf(b: BrittonPnf, params: GroupParams) -> str:
 MAX_PEEL_EDGES = 1024
 
 _START = ((0, 0),)  # the state before the first level: carry 0, relative norm 0
-_state_ids = itertools.count(1)  # 0 is _START; ids are never reused
+_state_ids = count(1)  # 0 is _START; ids are never reused
 
 
 class _PeelTable:
@@ -265,8 +289,17 @@ def _wrap_flanks(
     dec: Decomposition,
     solve_core: Callable[[AltWord], AltWord],
     params: GroupParams,
-) -> BrittonPnf:
-    """Britton pnf of ``dec``; ``solve_core`` maps a reduced core to its pnf word."""
+) -> AltWord:
+    """The Britton pnf word of ``dec``; ``solve_core`` maps a reduced core to its pnf word.
+
+    The (rho, delta) pairs of final carries are scored by (norm, left
+    rank, core pre-peak key, right rank, core reversed post-peak key), and
+    only the winner's flanks are spelled.  An integer core x is its own
+    pnf with empty peak keys, so its pairs score by (norm, left rank, right
+    rank), with the norms of all shifted cores x + rho + delta from one
+    lengths-only cone (``horocyclic._shifted_norms``); ``solve_core`` then
+    runs on the winner only.  A difficult core is solved once per pair.
+    """
     left_states, left_levels, rho_carry = _peel(dec.alphas, 1, params)
     right_states, right_levels, delta_carry = _peel(dec.betas[::-1], -1, params)
     core = dec.core
@@ -275,28 +308,37 @@ def _wrap_flanks(
         alpha = list(core.alpha)
         alpha[0] += rho_carry + rho
         alpha[-1] += delta_carry + delta
-        return solve_core(AltWord(tuple(alpha), core.theta))
+        return AltWord(tuple(alpha), core.theta)
 
     if len(left_states) == len(right_states) == 1:
         (rho,), (delta,) = left_states, right_states  # the only pair needs no key
-        w = shifted_core(rho, delta)
+        w = solve_core(shifted_core(rho, delta))
+    elif not core.theta:
+        x = core.alpha[0] + rho_carry + delta_carry
+        shifts = {rho + delta for rho in left_states for delta in right_states}
+        norms = _shifted_norms(x, shifts, params)
+        _, _, _, rho, delta = min(
+            (left_norm + norms[rho + delta] + right_norm, left_rank, right_rank, rho, delta)
+            for rho, (left_norm, left_rank) in left_states.items()
+            for delta, (right_norm, right_rank) in right_states.items()
+        )
+        w = solve_core(shifted_core(rho, delta))
     else:
         best = None
         for rho, (left_norm, left_rank) in left_states.items():
             for delta, (right_norm, right_rank) in right_states.items():
-                w = shifted_core(rho, delta)
+                w = solve_core(shifted_core(rho, delta))
                 pre, post = peak_key(w)
-                key = (left_norm + norm(w, params) + right_norm, left_rank, pre, right_rank, post)
+                key = (left_norm + _norm(w, params) + right_norm, left_rank, pre, right_rank, post)
                 if best is None or key < best[0]:
                     best = (key, rho, delta, w)
         _, rho, delta, w = best
     _, left_gammas = _path(left_levels, left_states[rho][1])
     _, right_gammas = _path(right_levels, right_states[delta][1])
-    word = AltWord(
+    return AltWord(
         (*left_gammas, *w.alpha, *right_gammas[::-1]),
         "t" * len(left_gammas) + w.theta + "T" * len(right_gammas),
     )
-    return make_britton_pnf(word, params)
 
 
 def hill_pnf(u: AltWord, params: GroupParams) -> BrittonPnf:
@@ -304,4 +346,4 @@ def hill_pnf(u: AltWord, params: GroupParams) -> BrittonPnf:
     dec = decompose(u, params)
     if dec.core.theta:
         raise NotAHill(f"core {dec.core} is not horocyclic")
-    return _wrap_flanks(dec, _integer_core, params)
+    return make_britton_pnf(_wrap_flanks(dec, _integer_core, params), params)

@@ -78,10 +78,9 @@ class AltWord:
 
     def symbols(self) -> list:
         """Interleaved symbol sequence [alpha_0, theta_1, alpha_1, ...]."""
-        out: list = [self.alpha[0]]
-        for i, th in enumerate(self.theta):
-            out.append(th)
-            out.append(self.alpha[i + 1])
+        out: list = [None] * (2 * len(self.theta) + 1)
+        out[::2] = self.alpha
+        out[1::2] = self.theta
         return out
 
     def __str__(self) -> str:
@@ -195,10 +194,26 @@ def height(u: AltWord) -> int:
 
 
 def peak_position(u: AltWord) -> int:
-    """The rightmost position attaining the maximal height."""
-    prof = height_profile(u)
-    top = max(prof)
-    return len(prof) - 1 - prof[::-1].index(top)
+    """The rightmost position attaining the maximal height.
+
+    Heights rise only along runs of t, so the peak is position 0 or the
+    end of a t-run; the scan steps from run to run.
+    """
+    theta, k = u.theta, len(u.theta)
+    i = h = top = at = 0
+    while i < k:
+        up = theta[i] == "t"
+        j = theta.find("T" if up else "t", i)
+        if j < 0:
+            j = k
+        if up:
+            h += j - i
+            if h >= top:
+                top, at = h, j
+        else:
+            h -= j - i
+        i = j
+    return at
 
 
 def sink_count(u: AltWord) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from conftest import P12, P13, P23, P24, P35, iter_words, random_alt
+from reference_britton import reference_pinch_pass
 
 from bsgeo import (
     AltWord,
@@ -21,6 +22,8 @@ from bsgeo import (
     to_alt,
     to_raw,
 )
+from bsgeo import stats
+from bsgeo.britton import _pinch_pass
 
 APPENDIX = to_alt(parse_word("7t14T-2tt9T2T23"))
 
@@ -199,3 +202,70 @@ class TestIsBrittonReducedScan:
                 seen.add(reduced)
                 assert is_britton_reduced(u, params) == reduced
             assert seen == {True, False}
+
+
+def _runs_alt(rng, params, max_runs=8, max_run=40):
+    """A random word made of runs of equal letters, with cascading pinches.
+
+    Each piece is a run t^k or T^k with zero coefficients inside, or a
+    cascade t^k a^(c p^k) T^k (or T^k a^(c q^k) t^k) that pinches k times.
+    """
+    p, q = params.p, params.q
+    syms: list = [rng.randint(-9, 9)]
+    for _ in range(rng.randint(0, max_runs)):
+        k = rng.randint(1, max_run)
+        if rng.random() < 0.4:
+            up = rng.random() < 0.5
+            inner = rng.randint(-3, 3) * (p if up else q) ** rng.randint(0, k)
+            if rng.random() < 0.3:
+                inner += 1  # stops the cascade somewhere inside
+            first, second = ("t", "T") if up else ("T", "t")
+            body = [first, 0] * (k - 1) + [first, inner] + [second, 0] * k
+        else:
+            body = [rng.choice("tT"), rng.choice((0, 0, 0, rng.randint(-9, 9)))] * k
+        syms[-1] += rng.randint(-2, 2) * rng.choice((1, p, q))
+        syms += body
+    return AltWord(tuple(syms[0::2]), "".join(syms[1::2]))
+
+
+class TestPinchPassByRuns:
+    # the run-at-a-time pass against the letter-at-a-time reference: same
+    # stack contents and the same op ticks
+    def _check(self, u, params):
+        stats.ops.reset()
+        got = _pinch_pass(u, params)
+        got_ops = stats.ops.reset()
+        want = reference_pinch_pass(u, params)
+        assert (got, got_ops) == (want, stats.ops.reset()), u
+
+    def test_every_short_letter_word(self):
+        for params in (P13, P24, P35):
+            for w in iter_words(6):
+                self._check(to_alt(w), params)
+
+    def test_long_runs_and_cascades(self):
+        rng = random.Random(2207)
+        for params in (P12, P13, P23, P24, P35):
+            for _ in range(300):
+                self._check(_runs_alt(rng, params), params)
+
+    def test_full_cascade(self):
+        # t^k a^(p^k) T^k collapses to a^(q^k) with k pinches
+        for params in (P23, P35):
+            k = 30
+            u = AltWord((0,) * k + (params.p**k,) + (0,) * k, "t" * k + "T" * k)
+            self._check(u, params)
+            assert britton_reduce(u, params) == AltWord((params.q**k,))
+
+    def test_decompose_on_runs(self):
+        rng = random.Random(2208)
+        for params in (P13, P23, P24):
+            for _ in range(200):
+                u = _runs_alt(rng, params)
+                alphas, thetas = reference_pinch_pass(u, params)
+                theta = "".join(thetas)
+                i = len(theta) - len(theta.lstrip("t"))
+                j = len(theta) - len(theta.rstrip("T")) if theta.strip("T") else len(theta) - i
+                d = decompose(u, params)
+                assert (len(d.alphas), len(d.betas)) == (i, j), u
+                assert d.reassemble() == AltWord(tuple(alphas), theta)

@@ -167,6 +167,18 @@ class TestExitCodes:
         assert main(["--p", "40", "--q", "41", command, APPENDIX]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_unexpected_exception_is_one_error_line(self, capsys, monkeypatch):
+        # a bug that escapes as a non-BSError exception still exits 1 with one line
+        def broken(args, params):
+            raise KeyError("missing row")
+
+        monkeypatch.setattr("bsgeo.cli.cmd_geolen", broken)
+        assert main(["--p", "2", "--q", "3", "geolen", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "KeyError" in lines[0]
+
     def test_output_beyond_default_digit_limit(self):
         # 2^40000 has 12042 digits, more than int/str converts by default
         proc = run_cli("--p", "1", "--q", "2", "britton", "t^40000 1 T^40000")
@@ -271,6 +283,21 @@ class TestOracleAndFuzz:
         assert proc.stdout == ""
         assert "non-negative integer" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [("oracle", "ball", "--radius", "13"), ("fuzz", "--radius", "13")],
+        ids=["ball", "fuzz"],
+    )
+    def test_ball_beyond_guard_is_refused_at_once(self, args):
+        # radius 13 would enumerate 89M words; the guard admits radius <= 10
+        t0 = time.perf_counter()
+        proc = run_cli("--p", "2", "--q", "4", *args)
+        assert time.perf_counter() - t0 < 10
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_unwritable_ball_path_is_a_clean_error(self, tmp_path):
         out = tmp_path / "missing" / "ball.tsv"

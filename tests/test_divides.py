@@ -416,9 +416,9 @@ class TestFullPnf:
             reduced.append(u)
             return real_reduce(u, params)
 
-        def counting_wrap(w, params):
+        def counting_wrap(w, params, norm=None):
             wrapped.append(w)
-            return real_wrap(w, params)
+            return real_wrap(w, params, norm)
 
         monkeypatch.setattr(bsgeo.britton, "britton_reduce", counting_reduce)
         monkeypatch.setattr(bsgeo.divides, "britton_reduce", counting_reduce)

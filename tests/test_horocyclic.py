@@ -338,3 +338,90 @@ class TestLlnfHorocyclic:
                 word = int_llnf(alpha, params)
                 if len(word) <= 8:
                     assert word == oracle_llnf(alt_from_int(alpha), index)
+
+
+def _ell_thresholds(params: GroupParams, above: int, count: int) -> list[int]:
+    """The first ``count`` magnitudes above ``above`` where the greedy split takes one more step.
+
+    The split takes at least one step from |x| = 2q on, and at least k + 1
+    from q * ceil(T_k / p) on, T_k the magnitude of its k-th step.
+    """
+    p, q = params.p, params.q
+    out = [2 * q]
+    while len(out) < count or out[-count] <= above:
+        out.append(q * -(-out[-1] // p))
+    return out[-count:]
+
+
+class TestLengthsOnly:
+    """``int_norm`` and the shared cone count lengths without spelling words."""
+
+    @pytest.mark.parametrize(
+        "params",
+        SMALL_PAIRS + tuple(GroupParams(p, q) for p, q in WIDE_PAIRS),
+        ids=lambda P: f"BS({P.p},{P.q})",
+    )
+    def test_int_norm_is_llnf_length(self, params):
+        rng = random.Random(f"norms{params}")
+        for digits in (1, 3, 8, 15, 30):
+            alpha = rng.randrange(10 ** (digits - 1), 10**digits) * rng.choice((1, -1))
+            assert int_norm(alpha, params) == len(int_llnf(alpha, params)), alpha
+
+    @pytest.mark.parametrize(
+        "params", SMALL_PAIRS + (GroupParams(12, 13),), ids=lambda P: f"BS({P.p},{P.q})"
+    )
+    def test_shared_cone_matches_int_norm(self, params):
+        # every shift |s| <= 2r, at random x and at x next to the magnitudes
+        # where the greedy split takes one more step (there the fallback runs)
+        rng = random.Random(f"shifts{params}")
+        r = r_llnf(params)
+        shifts = range(-2 * r, 2 * r + 1)
+        if len(shifts) > 41:
+            shifts = sorted(rng.sample(shifts, 41))
+        xs = [rng.randint(-(10**30), 10**30) if r <= 30 else rng.randint(-(10**12), 10**12)]
+        for t in _ell_thresholds(params, r + 2 * params.q, 4):
+            d = rng.randint(-2 * r, 2 * r)
+            xs += [t + d, -(t + d)]
+        for x in xs:
+            got = horocyclic._shifted_norms(x, shifts, params)
+            assert got == {s: len(int_llnf(x + s, params)) for s in shifts}, x
+
+    def test_far_shifts_share_one_cone(self, monkeypatch):
+        # away from the thresholds no shift falls back to int_norm, and one
+        # lengths-only pass serves them all
+        passes = []
+        real = horocyclic._cone_lengths
+
+        def counting(cone, rows, params):
+            passes.append(len(cone))
+            return real(cone, rows, params)
+
+        monkeypatch.setattr(horocyclic, "int_norm", None)
+        monkeypatch.setattr(horocyclic, "_cone_lengths", counting)
+        x, r = 3 * 10**20 + 12345, r_llnf(P23)
+        got = horocyclic._shifted_norms(x, range(-r, r + 1), P23)
+        assert len(passes) == 1
+        monkeypatch.undo()
+        assert got == {s: int_norm(x + s, P23) for s in range(-r, r + 1)}
+
+    @pytest.mark.parametrize("params", (P12, P23, P36))
+    def test_integer_pnf_runs_no_lengths_pass(self, params, monkeypatch):
+        # a^N spells its llnf once, and its norm is that word's length
+        lengths, spelled = [], []
+        real_lengths, real_slope = horocyclic._cone_lengths, horocyclic.slope_llnf
+
+        def counting_lengths(*args):
+            lengths.append(args)
+            return real_lengths(*args)
+
+        def counting_slope(*args):
+            spelled.append(args)
+            return real_slope(*args)
+
+        monkeypatch.setattr(horocyclic, "_cone_lengths", counting_lengths)
+        monkeypatch.setattr(horocyclic, "slope_llnf", counting_slope)
+        n = 10**40 + 7
+        _int_llnf_cached.cache_clear()
+        bp, flat, length = full_pnf(AltWord((n,)), params)
+        assert (len(lengths), len(spelled)) == (0, 1)
+        assert bp.norm == length == len(flat) and flat == int_llnf(n, params)

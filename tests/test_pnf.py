@@ -179,7 +179,7 @@ class TestFlankPeelReference:
         return AltWord(tuple(alpha), "t" * k + core_theta + "T" * m)
 
     def _check(self, dec, solver, params):
-        got = _wrap_flanks(dec, solver, params)
+        got = make_britton_pnf(_wrap_flanks(dec, solver, params), params)
         want = reference_wrap_flanks(dec, solver, params)
         assert (got.word, got.norm) == (want.word, want.norm), dec
 

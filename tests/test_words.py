@@ -224,6 +224,12 @@ class TestStatistics:
         assert peak_position(AltWord((3,))) == 0
         assert peak_position(AltWord((0, 5, 0), "tT")) == 1
 
+    @given(alt_words)
+    def test_peak_position_is_rightmost_highest(self, u):
+        # the run scan against the definition on the height profile
+        prof = height_profile(u)
+        assert peak_position(u) == max(i for i, h in enumerate(prof) if h == max(prof))
+
 
 class TestOrders:
     def test_ll_examples(self):
