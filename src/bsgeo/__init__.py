@@ -27,8 +27,6 @@ from .britton import (
 )
 from .canonical import canonical_form, equal
 from .divides import (
-    ValleyNode,
-    ValleyTree,
     difficult_pnf,
     full_pnf,
     geodesic_length,
@@ -38,7 +36,6 @@ from .divides import (
     range_of,
     to_standard_valley,
     valley_family,
-    valley_parse,
     valley_pnf,
 )
 from .errors import (

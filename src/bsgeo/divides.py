@@ -27,7 +27,7 @@ ending with t) is:
 3. For each standard valley V a range R(V), a set of multiples of p with
    |rho| <= r * s(V)  (r the least positive integer with
    r >= p*(r+3q-2)/q, s the sink count), and per rho a normal-form word
-   V_rho with V ~ V_rho a^rho are computed by one bottom-up pass:
+   V_rho with V ~ V_rho a^rho are computed bottom-up along the grammar:
 
        leaf:    R = {0}
        U W:     sums of ranges; V_rho = min { U_sigma W_tau }
@@ -37,29 +37,42 @@ ending with t) is:
 
    Minima are taken in the normal-form order (norm first, then the symbol
    order on the part before the peak, which for these words is everything
-   up to the trailing coefficient).  The pass is a rank DP like
-   ``slope_llnf``'s.  Within one tree node all candidates share their
+   up to the trailing coefficient).  Each step is a rank DP like
+   ``slope_llnf``'s.  Within one production all candidates share their
    t-sequence, so the symbol order is decided by (key of alpha', child
    rank, key of beta') at an arc and by (left rank, right rank) at a
    concatenation, where an integer a has key ``sym_key(a)`` =
-   2 + 2|a| + (a < 0).  Per rho a node keeps its least (norm, key) tuple
+   2 + 2|a| + (a < 0).  Per rho a step keeps its least (norm, key) tuple
    and a back-pointer, one plain sort of the winners by key gives the
-   node's ranks, and only the winners become structure-sharing rope
-   nodes.  The words for different shifts rho differ, so the ranks are
-   strict.  The norms and keys of the coefficients, all below q, come from
-   one table per group (``horocyclic._small_ints``).
+   ranks, and only the winners become structure-sharing rope nodes.  The
+   words for different shifts rho differ, so the ranks are strict.  The
+   norms and keys of the coefficients, all below q, come from one table
+   per group (``horocyclic._small_ints``).
 
-4. pnf(v) = min { V_rho llnf(rho + gamma) : rho in R(V) }.
+   No parse tree is built.  One left-to-right stack pass over V pushes the
+   pending alpha and the open level's family at each T, and at each t
+   builds the arc's family and folds it into the parent level, so
+   concatenations fold to the left and only the families of open levels
+   are alive.  After each arc and concatenation the pass drops every
+   shift rho' with ||V_rho'|| > m0 + ||rho' - rho0||, m0 the least norm at
+   rho0: V_rho0 a^(rho0 - rho') spells the same element, so the next
+   coefficient can absorb the difference and no geodesic passes through
+   V_rho' (``_live`` has the proof).  Ranks follow the symbols of the
+   words, so the winner of step 4 and its ties are unchanged.
+   ``range_of`` and ``valley_family`` run the same pass without the drop
+   and return the full R(V).
 
-All tree passes are iterative, so deeply nested valleys (tens of thousands
-of levels) are fine.
+4. pnf(v) = min { V_rho llnf(rho + gamma) : rho in R(V) }, over the live
+   shifts; only the winner's rope is spelled.
+
+All passes are iterative, so deeply nested valleys (tens of thousands of
+levels) are fine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
+from operator import itemgetter
 
 from . import stats
 from .britton import britton_reduce, decompose, is_britton_reduced
@@ -85,9 +98,6 @@ from .words import (
 
 __all__ = [
     "pi_residues",
-    "ValleyNode",
-    "ValleyTree",
-    "valley_parse",
     "r_valley",
     "to_standard_valley",
     "is_standard_valley",
@@ -120,151 +130,6 @@ def r_valley(params: GroupParams) -> int:
     """Least positive r with r >= p*(r + 3q - 2)/q (the range radius)."""
     p, q = params.p, params.q
     return max(1, -(-(p * (3 * q - 2)) // (q - p)))
-
-
-# ---------------------------------------------------------------------------
-# valley parse trees
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ValleyNode:
-    """One production of the valley grammar.
-
-    kind 'leaf' carries an integer value; kind 'arc' is
-    alpha T <child> beta t; kind 'cat' concatenates two valleys.  ``sinks``
-    follows the grammar recursion: 1 for leaves, the child's count for
-    arcs, and the sum for concatenations.
-    """
-
-    kind: str
-    value: int = 0
-    alpha: int = 0
-    beta: int = 0
-    child: int = -1
-    left: int = -1
-    right: int = -1
-    sinks: int = 1
-
-
-@dataclass
-class ValleyTree:
-    """Flat parse tree; children always precede their parents in ``nodes``."""
-
-    nodes: list[ValleyNode]
-    root: int
-
-    def reassemble(self) -> AltWord:
-        """The valley word spelled by the tree (inverse of valley_parse)."""
-        view = partial(_node_view, self.nodes)
-        return alt_from_symbols(_walk_symbols(self.root, view))
-
-
-def valley_parse(v: AltWord) -> ValleyTree:
-    """Deterministic parse of a valley along the grammar.
-
-    The word is split at its returns to height zero; every T...t arc takes
-    the coefficient in front of its T as alpha and the coefficient before
-    its t as beta (the interior keeps a zero there), and a nonzero trailing
-    coefficient becomes a final leaf.  Concatenations fold to the left.
-    """
-    if not _is_valley(v):
-        raise NotAValley(f"height profile of {v} leaves [min..0] or ends above 0")
-    nodes: list[ValleyNode] = []
-
-    def fold(ids: list[int]) -> int:
-        cur = ids[0]
-        for nid in ids[1:]:
-            nodes.append(
-                ValleyNode(
-                    "cat",
-                    left=cur,
-                    right=nid,
-                    sinks=nodes[cur].sinks + nodes[nid].sinks,
-                )
-            )
-            cur = len(nodes) - 1
-        return cur
-
-    sib_stack: list[list[int]] = [[]]
-    alpha_stack: list[int] = []
-    pending = v.alpha[0]
-    for i, th in enumerate(v.theta):
-        nxt = v.alpha[i + 1]
-        if th == "T":
-            alpha_stack.append(pending)
-            sib_stack.append([])
-            pending = nxt
-        else:
-            sibs = sib_stack.pop()
-            if sibs:
-                interior = fold(sibs)
-            else:
-                nodes.append(ValleyNode("leaf", value=0))
-                interior = len(nodes) - 1
-            nodes.append(
-                ValleyNode(
-                    "arc",
-                    alpha=alpha_stack.pop(),
-                    beta=pending,
-                    child=interior,
-                    sinks=nodes[interior].sinks,
-                )
-            )
-            sib_stack[-1].append(len(nodes) - 1)
-            pending = nxt
-    top = sib_stack.pop()
-    if sib_stack or alpha_stack:
-        raise InternalError("unbalanced valley")
-    if pending != 0 or not top:
-        nodes.append(ValleyNode("leaf", value=pending))
-        top.append(len(nodes) - 1)
-    return ValleyTree(nodes, fold(top))
-
-
-def _node_view(nodes: list[ValleyNode], nid: int) -> tuple:
-    node = nodes[nid]
-    if node.kind == "leaf":
-        return ("leaf", node.value)
-    if node.kind == "arc":
-        return ("arc", node.alpha, node.child, node.beta)
-    return ("cat", node.left, node.right)
-
-
-def _walk_symbols(root, view: Callable[[object], tuple]) -> list:
-    """Symbols of the word spelled from root, trailing coefficient included.
-
-    ``view`` reads a node as ("leaf", value), ("arc", alpha, child, beta)
-    or ("cat", left, right).
-    """
-    out: list = []
-    stack: list[tuple] = [(root, 0, 0)]
-    while stack:
-        node, phase, extra = stack.pop()
-        parts = view(node)
-        if parts[0] == "leaf":
-            out.append(parts[1])
-        elif parts[0] == "arc":
-            if phase == 0:
-                out.append(parts[1])
-                out.append("T")
-                stack.append((node, 1, 0))
-                stack.append((parts[2], 0, 0))
-            else:
-                out[-1] += parts[3]
-                out.append("t")
-                out.append(0)
-        else:
-            if phase == 0:
-                stack.append((node, 1, 0))
-                stack.append((parts[1], 0, 0))
-            elif phase == 1:
-                carry = out.pop()
-                stack.append((node, 2, (carry, len(out))))
-                stack.append((parts[2], 0, 0))
-            else:
-                carry, idx = extra
-                out[idx] += carry
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,87 +166,205 @@ def is_standard_valley(V: AltWord, params: GroupParams) -> bool:
 # ---------------------------------------------------------------------------
 
 Family = list[tuple[int, int, tuple]]
-"""A node's family in rank order: (rho, norm, rope) per shift rho."""
+"""A node's family in rank order: (rho, norm, rope) per shift rho.
+
+A rope is a structure-sharing word: ("leaf", 0), ("arc", alpha', child
+rope, beta') or ("cat", left rope, right rope).
+"""
+
+_LEAF: Family = [(0, 0, ("leaf", 0))]
+
+# a step's winners are (rho, (key..., norm, ...)) pairs; no two keys are equal
+_KEY = itemgetter(1)
 
 
-def _families(tree: ValleyTree, params: GroupParams) -> list[Family]:
-    """Per node the least word V_rho for every rho in its range, ranked.
+@lru_cache(maxsize=None)
+def _arc_steps(params: GroupParams) -> tuple[dict, tuple]:
+    """The choices of an arc step, each list in key order.
 
-    The rank DP of step 3 in the module docstring.  A candidate is a tuple
-    (norm, key..., back-pointer...), and a rope is built only for each
-    rho's winner.  Ropes are the views ``_walk_symbols`` reads: ("leaf", 0),
-    ("arc", alpha', child rope, beta') or ("cat", left rope, right rope).
+    Per alpha with |alpha| < p, the alpha' = alpha - eps p with |alpha'| < p
+    as (alpha', ||alpha'|| + 2, key, eps q); per x mod q, the beta' with
+    |beta'| < q and beta' = x (mod q) as (beta', ||beta'||, key, rho step):
+    beta' = x mod q - q carries one more q, so its rho is one p higher.
     """
     p, q = params.p, params.q
     small = _small_ints(params)
-    fams: list[Family] = []
-    for node in tree.nodes:
-        if node.kind == "leaf":
-            fams.append([(0, 0, ("leaf", 0))])
-            continue
-        best: dict[int, tuple] = {}
-        if node.kind == "arc":
-            child = fams[node.child]
-            n_cands = 0
-            for eps in (-1, 0, 1):
-                ap = node.alpha - eps * p
-                if abs(ap) >= p:
-                    continue
-                an, ak = small[ap]
-                shift = eps * q + node.beta
-                for rank, (sigma, n, _) in enumerate(child):
-                    x = sigma + shift
-                    bs = residues_mod(x, q)
-                    n_cands += len(bs)
-                    for b in bs:
-                        bn, bk = small[b]
-                        cand = (n + an + bn + 2, ak, rank, bk, ap, b)
-                        rho = (x - b) // q * p
-                        cur = best.get(rho)
-                        if cur is None or cand < cur:
-                            best[rho] = cand
-            winners = sorted(best.items(), key=lambda kv: kv[1][1:4])
-            fam = [(rho, c[0], ("arc", c[4], child[c[2]][2], c[5])) for rho, c in winners]
+    alphas = {}
+    for a in range(1 - p, p):
+        options = [(a - e * p, e * q) for e in (-1, 0, 1) if abs(a - e * p) < p]
+        alphas[a] = [(ap, small[ap][0] + 2, small[ap][1], shift) for ap, shift in options]
+        alphas[a].sort(key=itemgetter(2))
+    betas = tuple(
+        sorted(((b, *small[b], (g - b) // q * p) for b in residues_mod(g, q)), key=itemgetter(2))
+        for g in range(q)
+    )
+    return alphas, betas
+
+
+def _arc(child: Family, alpha: int, beta: int, params: GroupParams, steps: tuple) -> Family:
+    """The family of alpha T U beta t from the family of its interior U.
+
+    Candidates come in key order (alpha', child rank, beta'), so per rho
+    the first of the least norm is the least (norm, key).  ``steps`` is
+    ``_arc_steps(params)``.
+    """
+    p, q = params.p, params.q
+    alphas, betas = steps
+    best: dict[int, tuple] = {}
+    n_cands = 0
+    for ap, an, ak, shift in alphas[alpha]:
+        shift += beta
+        for rank, (sigma, n, _) in enumerate(child):
+            mu, g = divmod(sigma + shift, q)
+            n += an
+            mu *= p
+            options = betas[g]
+            n_cands += len(options)
+            for b, bn, bk, step in options:
+                rho = mu + step
+                cur = best.get(rho)
+                if cur is None or n + bn < cur[3]:
+                    best[rho] = (ak, rank, bk, n + bn, ap, b)
+    stats.ops.tick(n_cands)
+    winners = sorted(best.items(), key=_KEY)
+    return [(rho, c[3], ("arc", c[4], child[c[1]][2], c[5])) for rho, c in winners]
+
+
+def _cat(left: Family, right: Family) -> Family:
+    """The family of the concatenation U W from the families of U and W."""
+    stats.ops.tick(len(left) * len(right))
+    best: dict[int, tuple] = {}
+    # pairs come in (left rank, right rank) order: the first least norm wins
+    for lrank, (sigma, ln, _) in enumerate(left):
+        for rrank, (tau, rn, _) in enumerate(right):
+            cur = best.get(sigma + tau)
+            if cur is None or ln + rn < cur[2]:
+                best[sigma + tau] = (lrank, rrank, ln + rn)
+    winners = sorted(best.items(), key=_KEY)
+    return [(rho, c[2], ("cat", left[c[0]][2], right[c[1]][2])) for rho, c in winners]
+
+
+def _live(fam: Family, diff_norms: dict[int, int], params: GroupParams) -> Family:
+    """The shifts of a family that a geodesic can pass through.
+
+    With m0 the least norm (at rho0), every rho' with
+    ||V_rho'|| > m0 + ||rho' - rho0|| is dropped.  Every family word ends
+    in coefficient 0, and V ~ V_rho' a^rho' ~ V_rho0 a^rho0, so
+    V_rho' ~ V_rho0 a^(rho0 - rho').  A word that uses V_rho' goes on with
+    some coefficient c that the trailing 0 absorbs (beta' at an arc, the
+    next word's first coefficient at a concatenation, rho + gamma at the
+    root).  Putting V_rho0 there and c + rho0 - rho' after it spells the
+    same element, and by ||c + d|| <= ||c|| + ||d|| its norm falls by at
+    least ||V_rho'|| - m0 - ||rho' - rho0|| > 0.  So no word through
+    V_rho' is geodesic, and the winner of step 4, which is, never passes
+    through it, whatever gamma is.  Ranks order words by their symbols
+    whichever other words a family holds, and the filter keeps the rank
+    order, so each step on the winner's path still picks the same word,
+    now among fewer candidates, with the same tie-breaks.  (A surviving
+    shift whose least word in the full R(V) passed through a dropped
+    shift gets another word, which no winner uses.)  ``diff_norms``
+    memoises ||rho' - rho0|| over one pass.
+    """
+    if len(fam) == 1:
+        return fam
+    rho0, m0, _ = min(fam, key=itemgetter(1))
+    live = []
+    for f in fam:
+        excess = f[1] - m0
+        if excess:
+            d = f[0] - rho0
+            dn = diff_norms.get(d)
+            if dn is None:
+                dn = diff_norms[d] = int_norm(d, params)
+            if excess > dn:
+                continue
+        live.append(f)
+    return live
+
+
+def _root_family(V: AltWord, params: GroupParams, drop: bool) -> Family:
+    """The family of a standard valley V by one left-to-right stack pass.
+
+    The pass reads V along the grammar: on T it pushes the pending alpha
+    and the open level's folded family; on t it pops, builds the arc's
+    family from the interior (the leaf family for an empty one, with beta
+    the coefficient before the t) and folds it into the parent level, so
+    concatenations fold to the left.  Only the families of open levels are
+    alive.  With ``drop`` every arc and concatenation keeps only its live
+    shifts (``_live``); without it the result is the full R(V).
+    """
+    steps = _arc_steps(params)
+    diff_norms: dict[int, int] = {}
+    stack: list[tuple[int, Family | None]] = []
+    acc: Family | None = None
+    pending = V.alpha[0]
+    for th, nxt in zip(V.theta, V.alpha[1:]):
+        if th == "T":
+            stack.append((pending, acc))
+            acc = None
         else:
-            left, right = fams[node.left], fams[node.right]
-            n_cands = len(left) * len(right)
-            # pairs come in (left rank, right rank) order: the first least norm wins
-            for lrank, (sigma, ln, _) in enumerate(left):
-                for rrank, (tau, rn, _) in enumerate(right):
-                    n = ln + rn
-                    cur = best.get(sigma + tau)
-                    if cur is None or n < cur[0]:
-                        best[sigma + tau] = (n, lrank, rrank)
-            winners = sorted(best.items(), key=lambda kv: kv[1][1:])
-            fam = [(rho, c[0], ("cat", left[c[1]][2], right[c[2]][2])) for rho, c in winners]
-        stats.ops.tick(n_cands)
-        fams.append(fam)
-    return fams
+            alpha, parent = stack.pop()
+            acc = _arc(acc or _LEAF, alpha, pending, params, steps)
+            if drop:
+                acc = _live(acc, diff_norms, params)
+            if parent is not None:
+                acc = _cat(parent, acc)
+                if drop:
+                    acc = _live(acc, diff_norms, params)
+        pending = nxt
+    if stack:
+        raise InternalError("unbalanced valley")
+    return acc or _LEAF
 
 
 def _rope_symbols(rope: tuple) -> list:
-    return _walk_symbols(rope, lambda node: node)
+    """Symbols of the word a rope spells, trailing coefficient included.
+
+    ``out`` always ends in the open coefficient, to which the next word
+    adds its first one.
+    """
+    out: list = [0]
+    stack = [rope]
+    while stack:
+        node = stack.pop()
+        if node[0] == "cat":
+            stack += (node[2], node[1])
+        elif node[0] == "arc":
+            out[-1] += node[1]
+            out += ("T", 0)
+            stack += (("t", node[3]), node[2])
+        else:  # a leaf adds its value; ("t", beta') closes an arc
+            out[-1] += node[1]
+            if node[0] == "t":
+                out += ("t", 0)
+    return out
 
 
-def _parse_standard(V: AltWord, params: GroupParams) -> ValleyTree:
+def _full_family(V: AltWord, params: GroupParams) -> Family:
+    _require_divides(params)
     if not is_standard_valley(V, params):
         raise NotAValley(f"{V} is not a standard valley")
-    return valley_parse(V)
+    return _root_family(V, params, drop=False)
 
 
 def range_of(V: AltWord, params: GroupParams) -> tuple[int, ...]:
-    """The shift range R(V) of a standard valley (sorted multiples of p)."""
-    _require_divides(params)
-    tree = _parse_standard(V, params)
-    return tuple(sorted(rho for rho, _, _ in _families(tree, params)[tree.root]))
+    """The full shift range R(V) of a standard valley (sorted multiples of p).
+
+    No shift is dropped: this is the paper's R(V), not the live part that
+    the normal-form pass keeps.
+    """
+    return tuple(sorted(rho for rho, _, _ in _full_family(V, params)))
 
 
 def valley_family(V: AltWord, params: GroupParams) -> dict[int, tuple[AltWord, int]]:
-    """All shifted normal forms: rho -> (V_rho, norm) with V ~ V_rho a^rho."""
-    _require_divides(params)
-    tree = _parse_standard(V, params)
-    root = _families(tree, params)[tree.root]
-    return {rho: (alt_from_symbols(_rope_symbols(rope)), n) for rho, n, rope in root}
+    """All shifted normal forms: rho -> (V_rho, norm) with V ~ V_rho a^rho.
+
+    Covers the full R(V), with no shift dropped.
+    """
+    return {
+        rho: (alt_from_symbols(_rope_symbols(rope)), n)
+        for rho, n, rope in _full_family(V, params)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +372,15 @@ def valley_family(V: AltWord, params: GroupParams) -> dict[int, tuple[AltWord, i
 # ---------------------------------------------------------------------------
 
 def _valley_word(v: AltWord, params: GroupParams) -> AltWord:
-    """The peak normal form word of a valley: min over V_rho llnf(rho + gamma)."""
+    """The peak normal form word of a valley: min over V_rho llnf(rho + gamma).
+
+    A valley with no t-letter is an integer, its own normal form, and comes
+    back unchanged.
+    """
+    if not v.theta:
+        return v
     V, gamma = to_standard_valley(v, params)
-    tree = valley_parse(V)
-    root = _families(tree, params)[tree.root]
+    root = _root_family(V, params, drop=True)
     stats.ops.tick(len(root))
     # the family is in rank order, and min keeps the first of equal norms
     rho, _, rope = min(root, key=lambda f: f[1] + int_norm(f[0] + gamma, params))
@@ -403,6 +391,7 @@ def _valley_word(v: AltWord, params: GroupParams) -> AltWord:
 
 def valley_pnf(v: AltWord, params: GroupParams) -> BrittonPnf:
     """Peak normal form of a valley: min over V_rho llnf(rho + gamma)."""
+    _require_divides(params)
     return make_britton_pnf(_valley_word(v, params), params)
 
 

@@ -1,6 +1,8 @@
-"""The rope-comparing valley families, kept as a test reference for ``divides._families``.
+"""The valley parse tree and the rope-comparing families, a test reference for ``divides``.
 
-Every candidate word is a ``_Rope`` node.  The least one per shift rho is
+``valley_parse`` builds the grammar's parse tree that ``divides._root_family``
+folds in one stack pass without building it.  ``reference_families`` runs
+over that tree.  Every candidate word is a ``_Rope`` node.  The least one per shift rho is
 found by comparing ropes directly: norm first, then ``_u1_cmp``, the symbol
 order of the pre-peak parts through the ranks of the child ropes.  A node's
 winners are then ranked by a ``cmp_to_key`` sort.  It allocates a rope and
@@ -10,18 +12,128 @@ symbols, so it checks the rank DP's integer keys.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cmp_to_key
 
-from bsgeo import AltWord, alt_from_symbols, make_britton_pnf
-from bsgeo.divides import _walk_symbols, to_standard_valley, valley_parse
+from bsgeo import AltWord, InternalError, NotAValley, alt_from_symbols, make_britton_pnf
+from bsgeo.divides import _rope_symbols, to_standard_valley
 from bsgeo.horocyclic import int_norm, residues_mod
-from bsgeo.words import sym_key
+from bsgeo.words import _is_valley, sym_key
+
+
+@dataclass
+class ValleyNode:
+    """One production of the valley grammar.
+
+    kind 'leaf' carries an integer value; kind 'arc' is
+    alpha T <child> beta t; kind 'cat' concatenates two valleys.  ``sinks``
+    follows the grammar recursion: 1 for leaves, the child's count for
+    arcs, and the sum for concatenations.
+    """
+
+    kind: str
+    value: int = 0
+    alpha: int = 0
+    beta: int = 0
+    child: int = -1
+    left: int = -1
+    right: int = -1
+    sinks: int = 1
+
+
+@dataclass
+class ValleyTree:
+    """Flat parse tree; children always precede their parents in ``nodes``."""
+
+    nodes: list[ValleyNode]
+    root: int
+
+    def reassemble(self) -> AltWord:
+        """The valley word spelled by the tree (inverse of valley_parse)."""
+        ropes: list[tuple] = []
+        for node in self.nodes:
+            ropes.append(_node_view(node, ropes))
+        return alt_from_symbols(_rope_symbols(ropes[self.root]))
+
+
+def _node_view(node: ValleyNode, ropes: list[tuple]) -> tuple:
+    """The node as a ``divides`` rope, given the ropes of the nodes before it."""
+    if node.kind == "leaf":
+        return ("leaf", node.value)
+    if node.kind == "arc":
+        return ("arc", node.alpha, ropes[node.child], node.beta)
+    return ("cat", ropes[node.left], ropes[node.right])
+
+
+def valley_parse(v: AltWord) -> ValleyTree:
+    """Deterministic parse of a valley along the grammar.
+
+    The word is split at its returns to height zero; every T...t arc takes
+    the coefficient in front of its T as alpha and the coefficient before
+    its t as beta (the interior keeps a zero there), and a nonzero trailing
+    coefficient becomes a final leaf.  Concatenations fold to the left.
+    """
+    if not _is_valley(v):
+        raise NotAValley(f"height profile of {v} leaves [min..0] or ends above 0")
+    nodes: list[ValleyNode] = []
+
+    def fold(ids: list[int]) -> int:
+        cur = ids[0]
+        for nid in ids[1:]:
+            nodes.append(
+                ValleyNode(
+                    "cat",
+                    left=cur,
+                    right=nid,
+                    sinks=nodes[cur].sinks + nodes[nid].sinks,
+                )
+            )
+            cur = len(nodes) - 1
+        return cur
+
+    sib_stack: list[list[int]] = [[]]
+    alpha_stack: list[int] = []
+    pending = v.alpha[0]
+    for i, th in enumerate(v.theta):
+        nxt = v.alpha[i + 1]
+        if th == "T":
+            alpha_stack.append(pending)
+            sib_stack.append([])
+            pending = nxt
+        else:
+            sibs = sib_stack.pop()
+            if sibs:
+                interior = fold(sibs)
+            else:
+                nodes.append(ValleyNode("leaf", value=0))
+                interior = len(nodes) - 1
+            nodes.append(
+                ValleyNode(
+                    "arc",
+                    alpha=alpha_stack.pop(),
+                    beta=pending,
+                    child=interior,
+                    sinks=nodes[interior].sinks,
+                )
+            )
+            sib_stack[-1].append(len(nodes) - 1)
+            pending = nxt
+    top = sib_stack.pop()
+    if sib_stack or alpha_stack:
+        raise InternalError("unbalanced valley")
+    if pending != 0 or not top:
+        nodes.append(ValleyNode("leaf", value=pending))
+        top.append(len(nodes) - 1)
+    return ValleyTree(nodes, fold(top))
 
 
 class _Rope:
-    """Structure-sharing family word; ``rank`` orders words within a node."""
+    """Structure-sharing family word; ``rank`` orders words within a node.
 
-    __slots__ = ("kind", "a", "b", "c", "norm", "rank")
+    ``tup`` is the same word as a ``divides`` rope, for spelling.
+    """
+
+    __slots__ = ("kind", "a", "b", "c", "norm", "rank", "tup")
 
     def __init__(self, kind, a=None, b=None, c=None, norm=0):
         self.kind = kind
@@ -30,6 +142,12 @@ class _Rope:
         self.c = c
         self.norm = norm
         self.rank = 0
+        if kind == "leaf":
+            self.tup = ("leaf", 0)
+        elif kind == "arc":
+            self.tup = ("arc", a, b.tup, c)
+        else:
+            self.tup = ("cat", a.tup, b.tup)
 
 
 _EMPTY = _Rope("leaf")
@@ -110,20 +228,12 @@ def reference_families(tree, params) -> tuple[list[dict[int, _Rope]], int]:
     return fams, n_cands
 
 
-def _rope_view(rope: _Rope) -> tuple:
-    if rope.kind == "leaf":
-        return ("leaf", 0)
-    if rope.kind == "arc":
-        return ("arc", rope.a, rope.b, rope.c)
-    return ("cat", rope.a, rope.b)
-
-
 def reference_valley_family(V, params) -> dict:
     """rho -> (V_rho, norm) of a standard valley, by the rope families."""
     tree = valley_parse(V)
     fams, _ = reference_families(tree, params)
     return {
-        rho: (alt_from_symbols(_walk_symbols(rope, _rope_view)), rope.norm)
+        rho: (alt_from_symbols(_rope_symbols(rope.tup)), rope.norm)
         for rho, rope in fams[tree.root].items()
     }
 
@@ -141,6 +251,6 @@ def reference_valley_pnf(v, params):
         if best is None or key < best[0]:
             best = (key, rho, rope)
     _, rho, rope = best
-    syms = _walk_symbols(rope, _rope_view)
+    syms = _rope_symbols(rope.tup)
     syms[-1] += rho + gamma
     return make_britton_pnf(alt_from_symbols(syms), params)

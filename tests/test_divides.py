@@ -9,6 +9,7 @@ from reference_families import (
     reference_families,
     reference_valley_family,
     reference_valley_pnf,
+    valley_parse,
 )
 
 import pytest
@@ -47,15 +48,15 @@ from bsgeo import (
     to_alt,
     to_standard_valley,
     valley_family,
-    valley_parse,
     valley_pnf,
 )
 import bsgeo.britton
 import bsgeo.divides
 import bsgeo.pnf
 from bsgeo import stats
-from bsgeo.divides import _families
-from bsgeo.horocyclic import _small_ints
+from bsgeo.divides import _root_family, _rope_symbols
+from bsgeo.horocyclic import _small_ints, int_norm
+from bsgeo.words import sym_key
 
 APPENDIX = "7t14T-2tt9T2T23"
 
@@ -466,33 +467,65 @@ class TestFamiliesReference:
             word = word[:-1] + [word[-1] + syms[0]] + syms[1:]
         return to_standard_valley(alt_from_symbols(word), params)[0]
 
+    @staticmethod
+    def _winner(fam, gamma, params):
+        rho, n, rope = min(fam, key=lambda f: f[1] + int_norm(f[0] + gamma, params))
+        return rho, n, _rope_symbols(rope)
+
     def _check(self, v, params):
         V, _ = to_standard_valley(v, params)
         tree = valley_parse(V)
         _small_ints(params)  # built once per group; its llnf calls tick too
         stats.ops.reset()
-        fams = _families(tree, params)
+        full = _root_family(V, params, drop=False)
         ticks = stats.ops.reset()
         ref, n_cands = reference_families(tree, params)
+        ref_root = ref[tree.root]
         assert ticks == n_cands
-        for fam, ref_fam in zip(fams, ref):
-            assert [rho for rho, _, _ in fam] == sorted(ref_fam, key=lambda r: ref_fam[r].rank)
-            assert {rho: n for rho, n, _ in fam} == {r: rope.norm for r, rope in ref_fam.items()}
+        assert [rho for rho, _, _ in full] == sorted(ref_root, key=lambda r: ref_root[r].rank)
+        full_norms = {rho: n for rho, n, _ in full}
+        assert full_norms == {r: rope.norm for r, rope in ref_root.items()}
+        # the live shifts: a subset of R(V), ranked by the symbols of their words,
+        # and the same winner for every gamma.  A live shift may hold a longer
+        # word than in R(V) when its word there passed through a dropped shift.
+        live = _root_family(V, params, drop=True)
+        assert all(n >= full_norms[rho] for rho, n, _ in live)
+        keys = [tuple(map(sym_key, _rope_symbols(rope)[0::2])) for _, _, rope in live]
+        assert keys == sorted(set(keys))
+        q = params.q
+        for gamma in range(-2 * q, 2 * q + 1):
+            assert self._winner(live, gamma, params) == self._winner(full, gamma, params)
         assert valley_family(V, params) == reference_valley_family(V, params)
-        assert range_of(V, params) == tuple(sorted(ref[tree.root]))
+        assert range_of(V, params) == tuple(sorted(ref_root))
         assert valley_pnf(v, params) == reference_valley_pnf(v, params), v
+        return len(full) - len(live)
 
     def test_family_style_valleys(self):
         rng = random.Random(11)
+        dropped = 0
         for params in self.PAIRS:
             for _ in range(6):
                 V = self._family_style(rng, params)
                 c = rng.randint(-10**4, 10**4)
-                self._check(alt_concat(V, alt_from_int(c)), params)
+                dropped += self._check(alt_concat(V, alt_from_int(c)), params)
+        assert dropped > 0
 
     def test_random_reduced_valleys(self):
         rng = random.Random(12)
+        dropped = 0
         for params in self.PAIRS:
             for _ in range(100):
                 v = random_valley(rng, depth=rng.randint(2, 10), max_coeff=10**4)
-                self._check(britton_reduce(v, params), params)
+                dropped += self._check(britton_reduce(v, params), params)
+        assert dropped > 0
+
+    def test_dropped_shift(self):
+        # BS(2,4): V = T T a t t has R(V) = {0, 2} with norms 5 and 9; as
+        # 9 > 5 + ||2|| the pass drops rho = 2, while range_of keeps it
+        V = AltWord((0, 0, 1, 0, 0), "TTtt")
+        assert is_standard_valley(V, P24)
+        assert range_of(V, P24) == (0, 2)
+        assert {rho: n for rho, (_, n) in valley_family(V, P24).items()} == {0: 5, 2: 9}
+        assert [f[:2] for f in _root_family(V, P24, drop=True)] == [(0, 5)]
+        for c in range(-20, 21):
+            assert self._check(alt_concat(V, alt_from_int(c)), P24) == 1
