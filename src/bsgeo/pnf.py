@@ -27,8 +27,8 @@ the norm of their difference is dropped, as no minimal-norm word passes
 through it.  What is left depends only on the previous level up to a
 shift of the norm and on the coefficient mod q, so the peel is a small
 finite automaton, in the spirit of the finite-state normal forms of
-automatic groups; its edges are built on first use and cached per
-(group, side) in a bounded table, and a level seen before is one lookup.
+automatic groups, built once per (group, side) by a breadth-first search
+up to an edge budget and frozen; a level on a built edge is one lookup.
 The core is solved once per pair (rho, delta) of final carries, and the
 pair that wins on (norm, left rank, core pre-peak key, right rank, core
 reversed post-peak key) is spelled from the back-pointers.  This is
@@ -50,10 +50,9 @@ flattens it once and takes the norm from the flattened length, and one
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from operator import is_
 from typing import Callable
 
@@ -128,99 +127,79 @@ def flatten_pnf(b: BrittonPnf | AltWord, params: GroupParams) -> str:
 # flank peeling
 # ---------------------------------------------------------------------------
 
-# edges one flank-peel table holds before it is cleared: hills with 100-1000
-# letter flanks built at most 424 per side in BS(1,2), (2,3), (3,5), (1,166),
-# (2,4), (3,6) and (4,8); pairs with q/p near 1 make far more states (BS(5,6)
-# about 20,000 edges, and BS(12,13) a new state at almost every level)
-MAX_PEEL_EDGES = 1024
+# edges the flank-peel automaton of one (group, side) is built up to: every
+# benchmark pair and BS(1,166) fit whole (BS(3,4): 832 edges); pairs with q/p
+# nearer 1 are cut off (BS(4,5) has 6,435 edges, BS(5,6) 45,288)
+PEEL_EDGE_BUDGET = 2048
 
 _START = ((0, 0),)  # the state before the first level: carry 0, relative norm 0
-_state_ids = count(1)  # 0 is _START; ids are never reused
 
 
-class _PeelTable:
-    """The flank peel of one (group, side) as a lazily built automaton.
+def _level(state: tuple, a: int, tokens: dict, norms: dict, params: GroupParams) -> tuple:
+    """One peel level from ``state`` on the coefficient ``a`` in [0, q).
 
     A state is a level of the peel DP up to a shift of the norm: the tuple
     of (carry, norm - least norm) in rank order, the rank being the
-    position.  ``ids`` interns states as integers, and ``edges`` maps
-    (state id, coefficient in [0, q)) to (next state id, next state,
-    back-pointers, least norm of the next level, candidate count of its
-    ``_step``); the back-pointers give each rank of the next state its
-    (predecessor rank, gamma).  Both are dicts of plain tuples, so clearing
-    them frees the memory at once.  A full table is cleared before it takes
-    another edge; as ids are never reused, a call that holds an id across a
-    clear only misses.  Lookups take no lock; new edges are stored under
-    ``lock``.
+    position.  ``norms`` holds ||d|| of every carry difference d.  Returns
+    the next state, its back-pointers (each rank's (predecessor rank,
+    gamma)), the least norm of the level, and the candidate count of its
+    ``_step``, the only ops it ticks.
     """
-
-    __slots__ = ("params", "tokens", "norms", "edges", "ids", "lock")
-
-    def __init__(self, params: GroupParams, sign: int) -> None:
-        small = _small_ints(params)
-        self.params = params
-        self.tokens = {g: (n + 1, small[sign * g][1]) for g, (n, _) in small.items()}
-        # ||d|| of carry differences, kept here as int_norm's cache is bounded and shared
-        self.norms = {g: n for g, (n, _) in small.items()}
-        self.edges: dict[tuple[int, int], tuple] = {}
-        self.ids = {_START: 0}
-        self.lock = threading.Lock()
-
-    def clear(self) -> None:
-        """Drop every edge and state."""
-        with self.lock:
-            self._clear()
-
-    def _clear(self) -> None:
-        self.edges.clear()
-        self.ids.clear()
-        self.ids[_START] = 0
-
-    def _norm(self, d: int) -> int:
-        n = self.norms.get(d)
-        if n is None:
-            n = self.norms[d] = int_norm(d, self.params)
-        return n
-
-    def add(self, sid: int, state: tuple, a: int) -> tuple:
-        """Run one level from ``state`` on coefficient ``a``, store its edge, return it."""
-        params = self.params
-        p, q, r = params.p, params.q, r_llnf(params)
-        col = {carry: (n, rank) for rank, (carry, n) in enumerate(state)}
-        cands: dict[int, list] = {}
-        for carry in col:
-            x = carry + a
-            if abs(x) > r:
-                raise InternalError("flank peel escaped the table radius")
-            for gamma in residues_mod(x, q):
-                cands.setdefault((x - gamma) // q * p, []).append((carry, gamma))
-        level, back = _step(col, cands, self.tokens)
-        by_norm = sorted((m, d) for d, (m, _) in level.items())
-        least, nxt = by_norm[0][0], []
-        for c, (n, _) in level.items():
-            # c meets itself in by_norm, so the loop ends at a break
-            for m, d in by_norm:
-                if m + 1 >= n:
-                    nxt.append((c, n - least))
-                    break
-                if n > m + self._norm(c - d):
-                    break  # dominated by d
-        nxt = tuple(nxt)
-        ranks = tuple((col[back[c][0]][1], back[c][1]) for c, _ in nxt)
-        n_cands = sum(map(len, cands.values()))
-        with self.lock:
-            if len(self.edges) >= MAX_PEEL_EDGES:
-                self._clear()
-            nid = self.ids.get(nxt)
-            if nid is None:
-                nid = self.ids[nxt] = next(_state_ids)
-            edge = self.edges[sid, a] = (nid, nxt, ranks, least, n_cands)
-        return edge
+    p, q, r = params.p, params.q, r_llnf(params)
+    col = {carry: (n, rank) for rank, (carry, n) in enumerate(state)}
+    cands: dict[int, list] = {}
+    for carry in col:
+        x = carry + a
+        if abs(x) > r:
+            raise InternalError("flank peel escaped the table radius")
+        for gamma in residues_mod(x, q):
+            cands.setdefault((x - gamma) // q * p, []).append((carry, gamma))
+    level, back = _step(col, cands, tokens)
+    by_norm = sorted((m, d) for d, (m, _) in level.items())
+    least, nxt = by_norm[0][0], []
+    for c, (n, _) in level.items():
+        # c meets itself in by_norm, so the loop ends at a break
+        for m, d in by_norm:
+            if m + 1 >= n:
+                nxt.append((c, n - least))
+                break
+            if n > m + norms[c - d]:
+                break  # dominated by d
+    nxt = tuple(nxt)
+    ranks = tuple((col[back[c][0]][1], back[c][1]) for c, _ in nxt)
+    return nxt, ranks, least, sum(map(len, cands.values()))
 
 
 @lru_cache(maxsize=None)
-def _peel_table(params: GroupParams, sign: int) -> _PeelTable:
-    return _PeelTable(params, sign)
+def _peel_automaton(params: GroupParams, sign: int) -> tuple[dict, dict, dict, dict]:
+    """The flank peel of one (group, side) as a finite automaton, built once.
+
+    A breadth-first search from ``_START`` runs ``_level`` on every
+    coefficient in [0, q) of every state it reaches, and stops after
+    ``PEEL_EDGE_BUDGET`` edges.  Returns ``ids`` (state -> id, ``_START``
+    being 0), ``edges`` ((id, a) -> (next id, next state, back-pointers,
+    least norm, candidate count)), the token table gamma -> (||gamma|| +
+    1, sym_key(sign gamma)) and the norms of the carry differences; none
+    of them is written again.  Carries are multiples p k with |k| <= (r +
+    q - 1) // q, as |x - gamma| < r + q.  The ops its levels and carry
+    norms tick are not counted.
+    """
+    p, q = params.p, params.q
+    small = _small_ints(params)
+    tokens = {g: (n + 1, small[sign * g][1]) for g, (n, _) in small.items()}
+    ops, ids, edges = stats.ops.n, {_START: 0}, {}
+    span = 2 * p * ((r_llnf(params) + q - 1) // q)
+    norms = {d: int_norm(d, params) for d in range(-span, span + 1, p)}
+    states = [_START]  # in id order; the loop reaches the states it appends
+    for sid, state in enumerate(states):
+        for a in range(min(q, PEEL_EDGE_BUDGET - len(edges))):
+            nxt, *level = _level(state, a, tokens, norms, params)
+            nid = ids.setdefault(nxt, len(ids))
+            if nid == len(states):
+                states.append(nxt)
+            edges[sid, a] = (nid, nxt, *level)
+    stats.ops.n = ops
+    return ids, edges, tokens, norms
 
 
 def _peel(flank, sign: int, params: GroupParams) -> tuple[dict, list[tuple], int]:
@@ -252,28 +231,34 @@ def _peel(flank, sign: int, params: GroupParams) -> tuple[dict, list[tuple], int
 
     A level depends only on the previous one up to a shift of the norm and
     on the coefficient in [0, q), so with the dominated carries gone the
-    peel is a small finite automaton (27-37 states per side on the
-    benchmark's hills).  Its edges are built on first use and kept in the
-    bounded ``_PeelTable`` of (group, side), and each later level is one
-    lookup.  ``stats.ops`` is ticked with the stored candidate count of
-    every level, so a call counts the same ops whatever is cached.
+    peel is a finite automaton (37 states per side in BS(2,3)).  It is
+    built once per (group, side) by a breadth-first search, up to
+    ``PEEL_EDGE_BUDGET`` edges (``_peel_automaton``), and a level on a
+    built edge is one lookup.  A level off the built part (q/p near 1) runs
+    ``_level`` and stores nothing, and the walk rejoins the built part when
+    it reaches a known state.  ``stats.ops`` is ticked with the candidate
+    count of every level, so a call counts the same ops whatever is built.
+    An empty flank builds nothing.
 
     Returns the last level as carry -> (norm, rank) in rank order, per
     level the back-pointers rank -> (pred rank, gamma), and the excess left
     for the core.
     """
-    table = _peel_table(params, sign)
-    edges, p, q = table.edges, params.p, params.q
+    if not flank:
+        return {0: (0, 0)}, [], 0
+    ids, edges, tokens, norms = _peel_automaton(params, sign)
+    p, q = params.p, params.q
     sid, state, base, levels, excess, ops = 0, _START, 0, [], 0, 0
     for a in flank:
         mu, a = divmod(a + excess, q)
         excess = mu * p
         edge = edges.get((sid, a))
         if edge is None:
-            edge = table.add(sid, state, a)  # its _step ticks the candidates
+            state, back, least, _ = _level(state, a, tokens, norms, params)  # its _step ticks
+            sid = ids.get(state)
         else:
-            ops += edge[4]
-        sid, state, back, least, _ = edge
+            sid, state, back, least, n = edge
+            ops += n
         base += least
         levels.append(back)
     stats.ops.tick(ops)

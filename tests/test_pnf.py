@@ -195,12 +195,12 @@ class TestFlankPeelReference:
 
     @pytest.mark.parametrize("params", [P23, GroupParams(5, 6), P24])
     def test_each_flank_level_is_one_shared_step(self, params, monkeypatch):
-        # the flank peel builds every level on the slope DP's column step,
-        # at most once per level with a cleared table and never on a repeat
+        # the flank peel runs every level on the slope DP's column step: a
+        # cold build once per edge up to the budget, then a hill only off it
         rng = random.Random(10)
         u = self._flanked(rng, "", 50, flank_max=30, coeff_max=10**6)
         dec = decompose(u, params)
-        hill_pnf(u, params)  # warm the integer caches
+        want = hill_pnf(u, params)  # warm the integer caches
         step, calls = horocyclic._step, []
 
         def counted(*args):
@@ -209,16 +209,23 @@ class TestFlankPeelReference:
 
         for module in (horocyclic, pnf):
             monkeypatch.setattr(module, "_step", counted)
-        _clear_peel_tables(params)
-        cold = hill_pnf(u, params)
-        assert 1 <= len(calls) <= len(dec.alphas) + len(dec.betas)
+        edges = PEEL_SIZES[params.p, params.q][1]
+        pnf._peel_automaton.cache_clear()
+        for sign in (1, -1):
+            calls.clear()
+            pnf._peel_automaton(params, sign)
+            assert len(calls) == min(edges, pnf.PEEL_EDGE_BUDGET)
         calls.clear()
-        assert hill_pnf(u, params) == cold
-        assert not calls
+        assert hill_pnf(u, params) == want
+        if edges <= pnf.PEEL_EDGE_BUDGET:
+            assert not calls
+        else:
+            assert len(calls) <= len(dec.alphas) + len(dec.betas)
 
     def test_dominated_carry_is_dropped(self, monkeypatch):
         # after the flank 1 t 0 t 0 t of BS(2,3) the step keeps carries 0 and
         # 2, and carry 2 is three letters longer: 3 > ||2|| = 2, so it goes
+        _, _, tokens, norms = pnf._peel_automaton(P23, 1)
         levels = []
 
         def recorded(*args):
@@ -227,14 +234,15 @@ class TestFlankPeelReference:
             return level, back
 
         monkeypatch.setattr(pnf, "_step", recorded)
-        _clear_peel_tables(P23)
         dec = decompose(AltWord((1, 0, 0, 5, 1), "tttT"), P23)
         assert dec.alphas == (1, 0, 0)
-        states, _, _ = pnf._peel(dec.alphas, 1, P23)
-        last = levels[len(dec.alphas) - 1]
+        state = pnf._START
+        for a in dec.alphas:
+            state, _, _, _ = pnf._level(state, a, tokens, norms, P23)
+        last = levels[-1]
         assert set(last) == {0, 2} and last[2][0] - last[0][0] == 3
         assert horocyclic.int_norm(2, P23) == 2
-        assert set(states) == {0}
+        assert [c for c, _ in state] == [0]
         self._check(dec, _integer_core, P23)
 
     def test_flanks_around_difficult_cores(self):
@@ -254,9 +262,20 @@ class TestFlankPeelReference:
             compared += 1
 
 
-def _clear_peel_tables(params):
-    for sign in (1, -1):
-        pnf._peel_table(params, sign).clear()
+# (states, edges) of the whole flank-peel automaton, equal for both sides
+PEEL_SIZES = {
+    (1, 2): (5, 10),
+    (2, 3): (37, 111),
+    (2, 4): (8, 32),
+    (2, 5): (12, 60),
+    (3, 5): (27, 135),
+    (3, 6): (31, 186),
+    (4, 8): (25, 200),
+    (1, 166): (5, 830),
+    (3, 4): (208, 832),
+    (4, 5): (1287, 6435),
+    (5, 6): (7548, 45288),
+}
 
 
 class TestPeelTable:
@@ -293,7 +312,7 @@ class TestPeelTable:
             full_pnf(u, params)  # warm the integer caches
         cold = []
         for u in words:
-            _clear_peel_tables(params)
+            pnf._peel_automaton.cache_clear()
             cold.append(self._counted(u, params))
         assert [self._counted(u, params) for u in words] == cold
 
@@ -301,8 +320,7 @@ class TestPeelTable:
         rng = random.Random(32)
         jobs = [(params, u) for params in (P23, P35, P24) for u in self._words(params, rng, 10)]
         want = [full_pnf(u, params) for params, u in jobs]
-        for params in (P23, P35, P24):
-            _clear_peel_tables(params)
+        pnf._peel_automaton.cache_clear()
         results, errors = {}, []
         start = threading.Barrier(4)
 
@@ -331,26 +349,52 @@ class TestPeelTable:
             assert [got[j] for j in range(len(jobs))] == want
         assert len(results) == 4
 
-    def test_table_stays_within_its_bound(self, monkeypatch):
-        # BS(12,13) hills keep making new states: the table fills and clears
+    def test_table_stays_within_its_bound(self):
+        # BS(12,13) hills keep reaching new states, off the budget-cut
+        # automaton: they run their levels and leave it as built
         params = GroupParams(12, 13)
-        add, sizes = pnf._PeelTable.add, []
-
-        def checked(table, *args):
-            edge = add(table, *args)
-            sizes.append(len(table.edges))
-            assert len(table.edges) <= pnf.MAX_PEEL_EDGES
-            assert len(table.ids) <= pnf.MAX_PEEL_EDGES + 1
-            return edge
-
-        monkeypatch.setattr(pnf._PeelTable, "add", checked)
-        _clear_peel_tables(params)
-        rng = random.Random(33)
-        while len(sizes) < 3 * pnf.MAX_PEEL_EDGES:
+        pnf._peel_automaton.cache_clear()
+        built = [pnf._peel_automaton(params, sign) for sign in (1, -1)]
+        frozen = [(dict(ids), dict(edges)) for ids, edges, _, _ in built]
+        assert [len(edges) for _, edges in frozen] == [pnf.PEEL_EDGE_BUDGET] * 2
+        rng, levels = random.Random(33), 0
+        while levels < 3 * pnf.PEEL_EDGE_BUDGET:
             k, m = rng.randint(200, 400), rng.randint(200, 400)
             u = AltWord(
                 tuple(rng.randint(-10**6, 10**6) for _ in range(k + m + 1)),
                 "t" * k + "T" * m,
             )
             hill_pnf(u, params)
-        assert sizes.count(1) >= 3  # two fresh tables, then at least one clear
+            levels += k + m
+        for sign, (ids, edges, _, _), (ids0, edges0) in zip((1, -1), built, frozen):
+            assert pnf._peel_automaton(params, sign)[0] is ids
+            assert ids == ids0 and edges == edges0
+
+    @pytest.mark.parametrize("pq", sorted(PEEL_SIZES), ids=lambda pq: "BS(%d,%d)" % pq)
+    def test_exact_sizes(self, pq, monkeypatch):
+        # a breadth-first search reaches the same states and edges on both
+        # sides; a weaker carry prune would make more of them
+        params = GroupParams(*pq)
+        states, edges = PEEL_SIZES[pq]
+        build = pnf._peel_automaton
+        if edges > pnf.PEEL_EDGE_BUDGET:
+            monkeypatch.setattr(pnf, "PEEL_EDGE_BUDGET", edges + 1)
+            build = build.__wrapped__  # the whole automaton, not cached
+        for sign in (1, -1):
+            ids, got, _, _ = build(params, sign)
+            assert (len(ids), len(got)) == (states, edges)
+
+    def test_wide_pairs_stop_at_the_budget(self):
+        for params in (GroupParams(4, 5), GroupParams(5, 6), GroupParams(12, 13)):
+            for sign in (1, -1):
+                assert len(pnf._peel_automaton(params, sign)[1]) == pnf.PEEL_EDGE_BUDGET
+
+    def test_empty_flanks_build_nothing(self):
+        # a^N and a flankless difficult core never reach the automaton
+        pnf._peel_automaton.cache_clear()
+        n = 12345678901234567890
+        assert full_pnf(AltWord((n,), ""), P24)[2] == horocyclic.int_norm(n, P24)
+        core = to_alt(parse_word("T1T1t3t"))
+        assert decompose(core, P24).alphas == () and decompose(core, P24).core == core
+        full_pnf(core, P24)
+        assert pnf._peel_automaton.cache_info().currsize == 0
