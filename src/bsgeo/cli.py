@@ -21,7 +21,7 @@ from .canonical import canonical_form, equal
 from .divides import full_pnf, geodesic_length
 from .errors import BSError, UnsupportedCase
 from .horocyclic import int_llnf, llnf_horocyclic
-from .oracle import ball, oracle_geolen, oracle_llnf, save_ball
+from .oracle import all_words, ball, oracle_geolen, oracle_llnf, save_ball
 from .words import (
     AltWord,
     GroupParams,
@@ -148,34 +148,28 @@ def cmd_oracle(args, params) -> int:
         return 0
 
     # oracle check: sweep all words up to --wordlen against the ball
+    words = all_words(args.wordlen, "--wordlen")
     index = ball(params, args.radius)
     total = 0
     skipped = 0
-    from itertools import product
-
-    for n in range(args.wordlen + 1):
-        for letters in product("tTaA", repeat=n):
-            word = "".join(letters)
-            u = to_alt(word)
-            want = oracle_geolen(u, index)
-            try:
-                got = geodesic_length(u, params)
-            except UnsupportedCase:
-                # open case (p not dividing q, difficult core): nothing to compare
-                skipped += 1
-                continue
-            if got != want:
-                print(
-                    f"MISMATCH {word!r}: geodesic_length={got}, oracle={want}",
-                    file=sys.stderr,
-                )
+    for word in words:
+        u = to_alt(word)
+        want = oracle_geolen(u, index)
+        try:
+            got = geodesic_length(u, params)
+        except UnsupportedCase:
+            # open case (p not dividing q, difficult core): nothing to compare
+            skipped += 1
+            continue
+        if got != want:
+            print(f"MISMATCH {word!r}: geodesic_length={got}, oracle={want}", file=sys.stderr)
+            return 1
+        red = britton_reduce(u, params)
+        if not red.theta:
+            if int_llnf(red.alpha[0], params) != oracle_llnf(u, index):
+                print(f"MISMATCH {word!r}: llnf differs from oracle", file=sys.stderr)
                 return 1
-            red = britton_reduce(u, params)
-            if not red.theta:
-                if int_llnf(red.alpha[0], params) != oracle_llnf(u, index):
-                    print(f"MISMATCH {word!r}: llnf differs from oracle", file=sys.stderr)
-                    return 1
-            total += 1
+        total += 1
     if skipped:
         print(f"skipped {skipped} open-case words", file=sys.stderr)
     print(f"OK (all {total} words)")

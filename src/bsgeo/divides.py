@@ -46,8 +46,9 @@ ending with t) is:
    and a back-pointer, one plain sort of the winners by key gives the
    ranks, and only the winners become structure-sharing rope nodes.  The
    words for different shifts rho differ, so the ranks are strict.  The
-   norms and keys of the coefficients, all below q, come from one table
-   per group (``horocyclic._small_ints``).
+   coefficients are all below q, so their norms come from the integer
+   table (``horocyclic._base_lengths``), in one table of arc choices per
+   group (``_arc_steps``).
 
    No parse tree is built.  One left-to-right stack pass over V pushes the
    pending alpha and the open level's family at each T, and at each t
@@ -84,7 +85,7 @@ from .errors import (
     RequiresDivides,
     UnsupportedCase,
 )
-from .horocyclic import _small_ints, int_norm, residues_mod
+from .horocyclic import _base_lengths, int_norm, residues_mod
 from .pnf import BrittonPnf, _integer_core, _wrap_flanks, flatten_pnf, make_britton_pnf
 from .words import (
     AltWord,
@@ -93,6 +94,7 @@ from .words import (
     alt_from_symbols,
     height_profile,
     involute,
+    sym_key,
     to_alt,
 )
 
@@ -188,14 +190,13 @@ def _arc_steps(params: GroupParams) -> tuple[dict, tuple]:
     beta' = x mod q - q carries one more q, so its rho is one p higher.
     """
     p, q = params.p, params.q
-    small = _small_ints(params)
+    base, by_key = _base_lengths(params), itemgetter(2)
     alphas = {}
     for a in range(1 - p, p):
         options = [(a - e * p, e * q) for e in (-1, 0, 1) if abs(a - e * p) < p]
-        alphas[a] = [(ap, small[ap][0] + 2, small[ap][1], shift) for ap, shift in options]
-        alphas[a].sort(key=itemgetter(2))
+        alphas[a] = sorted(((ap, base[ap] + 2, sym_key(ap), s) for ap, s in options), key=by_key)
     betas = tuple(
-        sorted(((b, *small[b], (g - b) // q * p) for b in residues_mod(g, q)), key=itemgetter(2))
+        sorted(((b, base[b], sym_key(b), (g - b) // q * p) for b in residues_mod(g, q)), key=by_key)
         for g in range(q)
     )
     return alphas, betas

@@ -56,11 +56,13 @@ Three implementations of this DP agree letter for letter:
   back-references from any cell to the full normal form.
 
 Norms: ||alpha|| = len(int_llnf(alpha)) and ||u|| = k + sum ||alpha_i||.
-``int_norm`` counts it without spelling a word: the ll order compares
-lengths first, so the forward pass over the same cone (``_cone``) can keep
-only each row's least length (``_cone_lengths``), with no ranks,
-back-pointers or sort.  ``_shifted_norms`` serves the shifted integer cores
-x + s of the flank peel from one such cone.
+Integers within the integer table read their norm from it
+(``_base_lengths``); ``int_norm`` counts the others without spelling a
+word: the ll order compares lengths first, so the forward pass over the
+same cone (``_cone``) can keep only each row's least length
+(``_cone_lengths``), with no ranks, back-pointers or sort.
+``_shifted_norms`` serves the shifted integer cores x + s of the flank
+peel from one such cone, and ``int_norm`` is it at the one shift 0.
 
 ``base_table`` is cached per parameter pair; all functions are pure after
 that, so safe under threads, but the one process-wide ``stats.ops`` count
@@ -75,7 +77,7 @@ from operator import itemgetter
 from . import stats
 from .britton import britton_reduce
 from .errors import InternalError, LimitExceeded, NotHorocyclic, PreconditionError
-from .words import _LL_RANK, AltWord, GroupParams, _run, ll_key, sym_key, to_alt
+from .words import _LL_RANK, AltWord, GroupParams, _run, ll_key, to_alt
 
 __all__ = [
     "r_llnf",
@@ -440,28 +442,19 @@ def reconstruct_from_matrix(matrix: Matrix, rho: int) -> str:
 
 
 @lru_cache(maxsize=1 << 10)
-def _int_llnf_cached(alpha: int, params: GroupParams) -> str:
+def int_llnf(alpha: int, params: GroupParams) -> str:
+    """llnf(a^alpha) as a letter word: t^ell followed by a slope normal form."""
     ell, slope = greedy_slope(alpha, params)
     return "t" * ell + slope_llnf(slope, params)
 
 
-def int_llnf(alpha: int, params: GroupParams) -> str:
-    """llnf(a^alpha) as a letter word: t^ell followed by a slope normal form."""
-    return _int_llnf_cached(alpha, params)
-
-
-def int_norm(alpha: int, params: GroupParams) -> int:
-    """The geodesic length ||alpha|| of the integer alpha, from lengths only."""
-    return _int_norm_cached(alpha, params)
+_int_llnf_cached = int_llnf  # the name the benchmark clears the cache by
 
 
 @lru_cache(maxsize=1 << 10)
-def _int_norm_cached(alpha: int, params: GroupParams) -> int:
-    ell, slope = greedy_slope(alpha, params)
-    if not slope.theta:
-        return ell + _base_lengths(params)[slope.alpha[0]]
-    cone, rows = _cone(slope, (slope.alpha[-1],), params)
-    return ell + _cone_lengths(cone, rows, params)[slope.alpha[-1]]
+def int_norm(alpha: int, params: GroupParams) -> int:
+    """The geodesic length ||alpha|| of the integer alpha, from lengths only."""
+    return _shifted_norms(alpha, (0,), params)[0]
 
 
 def _greedy_len(alpha: int, params: GroupParams) -> int:
@@ -489,8 +482,11 @@ def _shifted_norms(x: int, shifts, params: GroupParams) -> dict[int, int]:
     plus that row's length.  One ``_cone`` seeded with all such rows and
     one ``_cone_lengths`` pass give them all.  A shifted core within the
     integer table reads its length there, and every other shift falls back
-    to ``int_norm``.  The tests compare every shift |s| <= 2r with
-    len(int_llnf(x + s)), also for x next to the magnitudes where ell grows.
+    to ``int_norm``.  At s = 0 there is no fallback, as |x| < 2q lies in
+    the table and otherwise |beta_ell| < q <= r, so ``int_norm`` (this
+    function at the shift 0) never recurses.  The tests compare every shift
+    |s| <= 2r with len(int_llnf(x + s)), also for x next to the magnitudes
+    where ell grows.
     """
     ell, slope = greedy_slope(x, params)
     last, r, base = slope.alpha[-1], r_llnf(params), _base_lengths(params)
@@ -498,7 +494,7 @@ def _shifted_norms(x: int, shifts, params: GroupParams) -> dict[int, int]:
     for s in shifts:
         if x + s in base:
             out[s] = base[x + s]
-        elif ell and abs(last + s) <= r and _greedy_len(x + s, params) == ell:
+        elif ell and abs(last + s) <= r and (not s or _greedy_len(x + s, params) == ell):
             rows[last + s] = s
         else:
             out[s] = int_norm(x + s, params)
@@ -510,25 +506,13 @@ def _shifted_norms(x: int, shifts, params: GroupParams) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _small_ints(params: GroupParams) -> dict[int, tuple[int, int]]:
-    """a -> (||a||, sym_key(a)) for every |a| < q.
-
-    The DPs over coefficients below q (the valley families and the flank
-    peel) read both from here, once per call, instead of hashing params per
-    lookup.
-    """
-    q = params.q
-    return {a: (int_norm(a, params), sym_key(a)) for a in range(1 - q, q)}
-
-
 def norm(u: AltWord, params: GroupParams) -> int:
     """||u|| = k + sum ||alpha_i||; an upper bound for the geodesic length."""
-    small = _small_ints(params)
+    base = _base_lengths(params)
     n = len(u.theta)
     for a in u.alpha:
-        hit = small.get(a)
-        n += hit[0] if hit else int_norm(a, params)
+        m = base.get(a)
+        n += int_norm(a, params) if m is None else m
     return n
 
 

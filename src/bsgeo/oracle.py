@@ -48,9 +48,27 @@ __all__ = [
     "load_ball",
 ]
 
-# the most words ``ball`` enumerates before raising LimitExceeded: radius 10
+# the most words ``all_words`` yields before raising LimitExceeded: radius 10
 # (1.4M words, seconds) passes, radius 11 (5.6M words) and beyond are refused
 MAX_CANDIDATES = 2 * 10**6
+
+
+def all_words(length: int, what: str):
+    """Every word of at most ``length`` letters, in length-lexicographic order.
+
+    Raises LimitExceeded at once if they number more than MAX_CANDIDATES.
+    The count grows level by level and stops at the first level past the
+    limit, so a huge ``length`` is refused with no power of it taken.
+    """
+    count = level = 1
+    for n in range(1, length + 1):
+        level *= 4
+        count += level
+        if count > MAX_CANDIDATES:
+            raise LimitExceeded(
+                f"{what} {length} exceeds {n - 1}, the most that {MAX_CANDIDATES} words admit"
+            )
+    return ("".join(w) for n in range(length + 1) for w in itertools.product(LETTERS, repeat=n))
 
 
 @dataclass(frozen=True)
@@ -74,16 +92,11 @@ class BallIndex:
 @lru_cache(maxsize=32)
 def ball(params: GroupParams, radius: int) -> BallIndex:
     """Enumerate all words up to ``radius`` in length-lexicographic order."""
-    count = (4 ** (radius + 1) - 1) // 3
-    if count > MAX_CANDIDATES:
-        raise LimitExceeded(f"{count} candidate words exceed limit {MAX_CANDIDATES}")
     table: dict[AltWord, tuple[int, str]] = {}
-    for n in range(radius + 1):
-        for letters in itertools.product(LETTERS, repeat=n):
-            word = "".join(letters)
-            key = canonical_form(to_alt(word), params)
-            if key not in table:
-                table[key] = (n, word)
+    for word in all_words(radius, "ball radius"):
+        key = canonical_form(to_alt(word), params)
+        if key not in table:
+            table[key] = (len(word), word)
     return BallIndex(params, radius, table)
 
 

@@ -60,9 +60,9 @@ from . import stats
 from .britton import Decomposition, decompose
 from .errors import InternalError, NotAHill
 from .horocyclic import (
+    _base_lengths,
     _path,
     _shifted_norms,
-    _small_ints,
     _step,
     base_table,
     int_llnf,
@@ -71,40 +71,27 @@ from .horocyclic import (
     residues_mod,
 )
 from .horocyclic import norm as _norm
-from .words import AltWord, GroupParams, peak_key, peak_position
+from .words import AltWord, GroupParams, peak_key, sym_key
 
 __all__ = ["BrittonPnf", "make_britton_pnf", "flatten_pnf", "hill_pnf"]
 
 
 @dataclass(frozen=True)
 class BrittonPnf:
-    """A Britton-reduced word together with its peak factorisation.
+    """A Britton peak normal form: the word and the geodesic length ``norm`` of its element.
 
-    ``word`` is the normal-form word, ``peak_index`` the rightmost highest
-    position, ``u1``/``u2`` the symbol sequences before and after the peak
-    coefficient, and ``norm`` the geodesic length of the element.
+    Its peak split u = u_1 alpha_i u_2 is ``words.peak_position(word)`` = i,
+    and ``words.peak_key(word)`` gives the symbol keys of u_1 and of u_2
+    reversed.
     """
 
     word: AltWord
-    peak_index: int
-    u1: tuple
-    peak_coeff: int
-    u2: tuple
     norm: int
 
 
 def make_britton_pnf(word: AltWord, params: GroupParams, norm: int | None = None) -> BrittonPnf:
-    """Wrap a Britton-reduced word with its peak split and ``norm``, computed if None."""
-    i = peak_position(word)
-    syms = word.symbols()
-    return BrittonPnf(
-        word=word,
-        peak_index=i,
-        u1=tuple(syms[: 2 * i]),
-        peak_coeff=word.alpha[i],
-        u2=tuple(syms[2 * i + 1 :]),
-        norm=_norm(word, params) if norm is None else norm,
-    )
+    """Wrap a Britton-reduced word with its ``norm``, computed if None."""
+    return BrittonPnf(word, _norm(word, params) if norm is None else norm)
 
 
 def flatten_pnf(b: BrittonPnf | AltWord, params: GroupParams) -> str:
@@ -185,8 +172,8 @@ def _peel_automaton(params: GroupParams, sign: int) -> tuple[dict, dict, dict, d
     norms tick are not counted.
     """
     p, q = params.p, params.q
-    small = _small_ints(params)
-    tokens = {g: (n + 1, small[sign * g][1]) for g, (n, _) in small.items()}
+    base = _base_lengths(params)
+    tokens = {g: (base[g] + 1, sym_key(sign * g)) for g in range(1 - q, q)}
     ops, ids, edges = stats.ops.n, {_START: 0}, {}
     span = 2 * p * ((r_llnf(params) + q - 1) // q)
     norms = {d: int_norm(d, params) for d in range(-span, span + 1, p)}

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from bsgeo import AltWord, make_britton_pnf
 from bsgeo.horocyclic import int_norm, r_llnf, residues_mod
-from bsgeo.words import involute_symbols, sym_key
+from bsgeo.words import peak_key, sym_key
 
 
 class _Val(NamedTuple):
@@ -28,9 +28,7 @@ def _order_key(v: _Val) -> tuple:
 
 
 def _val_from_pnf(b) -> _Val:
-    u1key = tuple(sym_key(s) for s in b.u1)
-    u2key = tuple(sym_key(s) for s in involute_symbols(b.u2))
-    return _Val(b.norm, u1key, u2key, b.word)
+    return _Val(b.norm, *peak_key(b.word), b.word)
 
 
 _T_KEY = sym_key("t")

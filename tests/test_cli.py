@@ -286,11 +286,18 @@ class TestOracleAndFuzz:
 
     @pytest.mark.parametrize(
         "args",
-        [("oracle", "ball", "--radius", "13"), ("fuzz", "--radius", "13")],
-        ids=["ball", "fuzz"],
+        [
+            ("oracle", "ball", "--radius", "13"),
+            ("fuzz", "--radius", "13"),
+            ("oracle", "ball", "--radius", str(10**7)),
+            ("fuzz", "--radius", str(10**7)),
+            ("oracle", "check", "--wordlen", "11"),
+        ],
+        ids=["ball", "fuzz", "ball-huge", "fuzz-huge", "check-wordlen"],
     )
     def test_ball_beyond_guard_is_refused_at_once(self, args):
-        # radius 13 would enumerate 89M words; the guard admits radius <= 10
+        # radius 13 would enumerate 89M words; the guard admits radius <= 10, and
+        # refuses a huge radius before any power of it is taken
         t0 = time.perf_counter()
         proc = run_cli("--p", "2", "--q", "4", *args)
         assert time.perf_counter() - t0 < 10

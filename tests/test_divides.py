@@ -54,8 +54,8 @@ import bsgeo.britton
 import bsgeo.divides
 import bsgeo.pnf
 from bsgeo import stats
-from bsgeo.divides import _root_family, _rope_symbols
-from bsgeo.horocyclic import _small_ints, int_norm
+from bsgeo.divides import _arc_steps, _root_family, _rope_symbols
+from bsgeo.horocyclic import int_norm
 from bsgeo.words import sym_key
 
 APPENDIX = "7t14T-2tt9T2T23"
@@ -475,7 +475,7 @@ class TestFamiliesReference:
     def _check(self, v, params):
         V, _ = to_standard_valley(v, params)
         tree = valley_parse(V)
-        _small_ints(params)  # built once per group; its llnf calls tick too
+        _arc_steps(params)  # built once per group; its integer table ticks too
         stats.ops.reset()
         full = _root_family(V, params, drop=False)
         ticks = stats.ops.reset()

@@ -35,8 +35,7 @@ from bsgeo import (
     alt_from_int,
 )
 from bsgeo import full_pnf, horocyclic, stats
-from bsgeo.horocyclic import _int_llnf_cached, _small_ints
-from bsgeo.words import sym_key
+from bsgeo.horocyclic import _base_lengths, _int_llnf_cached
 
 SMALL_PAIRS = tuple(GroupParams(p, q) for q in range(2, 9) for p in range(1, q))
 
@@ -104,7 +103,7 @@ class TestBaseTable:
             raise AssertionError("the string column step ran on the production path")
 
         monkeypatch.setattr(horocyclic, "_column_step", refuse)
-        for cached in (base_table, _small_ints, _int_llnf_cached):
+        for cached in (base_table, _base_lengths, int_norm, _int_llnf_cached):
             cached.cache_clear()
         assert [answers(params, u) for params, u in cases] == want
 
@@ -301,12 +300,15 @@ class TestIntLlnf:
         # the early alphas were evicted and are solved again, the rest are hits
         assert [int_llnf(a, P23) for a in alphas] == fresh
 
-    def test_small_int_table(self):
-        for params in (P12, P13, P23, P24, P36):
-            small = _small_ints(params)
-            assert sorted(small) == list(range(1 - params.q, params.q))
-            assert all(n == int_norm(a, params) for a, (n, _) in small.items())
-            assert sorted(small, key=lambda a: small[a][1]) == sorted(small, key=sym_key)
+    def test_norms_at_the_table_edges(self):
+        # norm reads the integer table (|a| <= R) and falls back to int_norm beyond it
+        for params in SMALL_PAIRS:
+            q = params.q
+            edge = r_llnf(params) + 2 * q - 1
+            for m in (q - 1, q, 2 * q - 1, 2 * q, edge, edge + 1, 10**30):
+                for a in (m, -m):
+                    n = len(int_llnf(a, params))
+                    assert norm(AltWord((a,)), params) == int_norm(a, params) == n, (params, a)
 
 
 class TestLlnfHorocyclic:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 from conftest import P12, P13, P24, iter_words
 
@@ -57,6 +58,12 @@ class TestBall:
     def test_guard(self):
         with pytest.raises(LimitExceeded):
             ball(P12, 20)
+        # refused before any power of the radius is taken, with a short message
+        t0 = time.perf_counter()
+        with pytest.raises(LimitExceeded) as info:
+            ball(P12, 10**6)
+        assert time.perf_counter() - t0 < 1
+        assert len(str(info.value)) < 200
 
 
 class TestLookups:

@@ -33,28 +33,37 @@ from bsgeo import (
 )
 from bsgeo import horocyclic, pnf, stats
 from bsgeo.pnf import _integer_core, _wrap_flanks
+from bsgeo.words import peak_position
 
 APPENDIX = to_alt(parse_word("7t14T-2tt9T2T23"))
+
+
+def _split(b):
+    """(peak index, u1, peak coefficient, u2) of a Britton pnf's word."""
+    i, syms = peak_position(b.word), b.word.symbols()
+    return i, tuple(syms[: 2 * i]), b.word.alpha[i], tuple(syms[2 * i + 1 :])
 
 
 class TestBrittonPnfSplit:
     def test_single_integer(self):
         b = make_britton_pnf(AltWord((5,)), P13)
-        assert (b.peak_index, b.u1, b.peak_coeff, b.u2) == (0, (), 5, ())
+        assert _split(b) == (0, (), 5, ())
         assert b.norm == 5
 
     def test_peak_is_rightmost_highest(self):
         b = make_britton_pnf(AltWord((1, 2, 3), "Tt"), P24)
-        assert b.peak_index == 2
-        assert b.u1 == (1, "T", 2, "t")
-        assert b.peak_coeff == 3
-        assert b.u2 == ()
+        i, u1, peak_coeff, u2 = _split(b)
+        assert i == 2
+        assert u1 == (1, "T", 2, "t")
+        assert peak_coeff == 3
+        assert u2 == ()
 
     def test_middle_peak(self):
         b = make_britton_pnf(AltWord((0, 5, 0), "tT"), P24)
-        assert b.peak_index == 1
-        assert b.u1 == (0, "t")
-        assert b.u2 == ("T", 0)
+        i, u1, _, u2 = _split(b)
+        assert i == 1
+        assert u1 == (0, "t")
+        assert u2 == ("T", 0)
 
 
 class TestFlatten:
