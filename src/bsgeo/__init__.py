@@ -13,8 +13,17 @@ computes, for arbitrary input words over {t, T, a, A}:
   (``slope_dp_optimized``),
 * peak normal forms: for hills with any parameters, and for every element
   when p divides q,
-* a brute-force Cayley-ball oracle for validation.
+* a brute-force Cayley-ball oracle for validation (``bsgeo.oracle``).
+
+The value types (``GroupParams``, ``AltWord``, ``Classification``,
+``Decomposition``, ``BrittonPnf``) are immutable named tuples, which iterate
+and compare equal like the plain tuple of their fields.  The oracle loads on
+first use: ``import bsgeo`` does not load it, and ``bsgeo.oracle``,
+``bsgeo.ball`` and the other oracle names import it when first looked up;
+the names resolve to the ``bsgeo.oracle`` objects on every access.
 """
+
+import importlib
 
 from .britton import (
     Classification,
@@ -67,15 +76,6 @@ from .horocyclic import (
     slope_dp_table,
     slope_llnf,
 )
-from .oracle import (
-    BallIndex,
-    ball,
-    load_ball,
-    oracle_britton_pnf,
-    oracle_geolen,
-    oracle_llnf,
-    save_ball,
-)
 from .pnf import BrittonPnf, flatten_pnf, hill_pnf, make_britton_pnf
 from .words import (
     AltWord,
@@ -101,3 +101,22 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = {
+    "BallIndex",
+    "ball",
+    "load_ball",
+    "oracle_britton_pnf",
+    "oracle_geolen",
+    "oracle_llnf",
+    "save_ball",
+}
+
+
+def __getattr__(name: str):
+    # looked up on every access and never stored here, so a function swapped
+    # in the oracle's namespace (by a tracer, say) is what callers get
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,7 @@ and ``canonical.canonical_form`` follows it with a carry pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import stats
 from .words import AltWord, GroupParams, _is_valley
@@ -92,8 +92,7 @@ def t_sequence(u: AltWord, params: GroupParams) -> str:
     return britton_reduce(u, params).theta
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(namedtuple("Classification", "horocyclic hill valley difficult")):
     """Structural predicates of a Britton-reduced word.
 
     The categories overlap (every horocyclic word is a hill and a valley;
@@ -101,10 +100,7 @@ class Classification:
     to a single headline label.
     """
 
-    horocyclic: bool
-    hill: bool
-    valley: bool
-    difficult: bool
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -145,8 +141,7 @@ def _is_hill_pattern(theta: str) -> bool:
     return first_T < 0 or "t" not in theta[first_T:]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "alphas core betas")):
     """The unique split flanks-core-flanks of a Britton-reduced word.
 
     ``alphas`` are the coefficients in front of the leading t's in word
@@ -155,9 +150,7 @@ class Decomposition:
     reduced word exactly.
     """
 
-    alphas: tuple[int, ...]
-    core: AltWord
-    betas: tuple[int, ...]
+    __slots__ = ()
 
     def reassemble(self) -> AltWord:
         alpha = self.alphas + self.core.alpha + self.betas

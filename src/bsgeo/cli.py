@@ -12,8 +12,6 @@ or malformed option, a negative count included).
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 
 from .britton import britton_reduce, classify, t_sequence
@@ -21,7 +19,6 @@ from .canonical import canonical_form, equal
 from .divides import full_pnf, geodesic_length
 from .errors import BSError, UnsupportedCase
 from .horocyclic import int_llnf, llnf_horocyclic
-from .oracle import all_words, ball, oracle_geolen, oracle_llnf, save_ball
 from .words import (
     AltWord,
     GroupParams,
@@ -46,6 +43,8 @@ _JSON_KEYS = (
 
 def _emit(args, fields: dict) -> None:
     if args.format == "json":
+        import json
+
         obj = {key: fields.get(key) for key in _JSON_KEYS}
         obj["p"], obj["q"] = args.p, args.q
         obj["input"] = fields.get("input", "")
@@ -136,6 +135,8 @@ def cmd_geolen(args, params) -> int:
 
 
 def cmd_oracle(args, params) -> int:
+    from .oracle import all_words, ball, oracle_geolen, oracle_llnf, save_ball
+
     if args.oracle_cmd == "ball":
         index = ball(params, args.radius)
         if args.out:
@@ -176,7 +177,7 @@ def cmd_oracle(args, params) -> int:
     return 0
 
 
-def _random_word(rng: random.Random, maxlen: int) -> str:
+def _random_word(rng, maxlen: int) -> str:
     n = rng.randint(0, maxlen)
     return "".join(rng.choice("tTaA") for _ in range(n))
 
@@ -196,7 +197,7 @@ def _fuzz_failure(word: str, params: GroupParams, index) -> str | None:
     if flat2 != flat or length2 != length:
         return "pnf is not idempotent"
     if index is not None and length <= index.radius:
-        if length != oracle_geolen(u, index):
+        if length != index.lookup(u)[0]:
             return "geodesic length differs from the oracle"
     return None
 
@@ -226,6 +227,10 @@ def _shrink(word: str, params, index) -> str:
 
 
 def cmd_fuzz(args, params) -> int:
+    import random
+
+    from .oracle import ball
+
     rng = random.Random(args.seed)
     index = ball(params, args.radius) if args.radius else None
     for it in range(args.iterations):

@@ -138,8 +138,9 @@ def base_table(params: GroupParams) -> dict[int, str]:
             f" > {MAX_TABLE_RADIUS}"
         )
     unary = {rho: _run(rho) for rho in range(-bound, bound + 1)}
-    cands = {rho: _dp_candidates(0, rho, params, bound) for rho in unary}
-    col, tokens = _ranked(unary, unary), _slope_tokens(params.q)
+    p, q = params.p, params.q
+    cands = {rho: _dp_candidates(0, rho, p, q, bound) for rho in unary}
+    col, tokens = _ranked(unary, unary), _slope_tokens(q)
     best = {rho: (len(word), 0) for rho, word in unary.items()}  # (j + length, -j)
     backs = []
     # for j > bound // 2, t^j T^j alone is longer than every unary word
@@ -192,10 +193,9 @@ def _check_slope(s: AltWord, params: GroupParams) -> None:
 
 
 def _dp_candidates(
-    beta_i: int, rho: int, params: GroupParams, prev_bound: int
+    beta_i: int, rho: int, p: int, q: int, prev_bound: int
 ) -> list[tuple[int, int]]:
-    """(previous rho, trailing gamma) pairs feeding llnf(u(i+1, rho))."""
-    p, q = params.p, params.q
+    """(previous rho, trailing gamma) pairs feeding llnf(u(i+1, rho)) in BS(p, q)."""
     out = []
     for gamma in residues_mod(rho, q):
         mu = (rho - gamma) // q
@@ -211,10 +211,11 @@ def _column_step(
     prev: dict[int, str], beta: int, rows: range, params: GroupParams, prev_bound: int
 ) -> dict[int, str]:
     """One string DP column: row rho holds the ll-least prev[x] T a^gamma."""
+    p, q = params.p, params.q
     col = {}
     for rho in rows:
         cands = []
-        for x, gamma in _dp_candidates(beta, rho, params, prev_bound):
+        for x, gamma in _dp_candidates(beta, rho, p, q, prev_bound):
             stats.ops.tick()
             cands.append(prev[x] + "T" + _run(gamma))
         col[rho] = min(cands, key=ll_key)
@@ -266,11 +267,11 @@ def _cone(s: AltWord, rows, params: GroupParams) -> tuple[list[dict], set[int]]:
     candidates over the rows that ``rows`` read, and the rows of column 0
     that the cone starts from.
     """
-    r, q = r_llnf(params), params.q
+    r, p, q = r_llnf(params), params.p, params.q
     cone = []
     for i in range(len(s.theta) - 1, -1, -1):
-        bound = r if i else r + q
-        cone.append({rho: _dp_candidates(s.alpha[i], rho, params, bound) for rho in rows})
+        beta, bound = s.alpha[i], (r if i else r + q)
+        cone.append({rho: _dp_candidates(beta, rho, p, q, bound) for rho in rows})
         rows = {x for pairs in cone[-1].values() for x, _ in pairs}
     return cone, rows
 
@@ -376,13 +377,13 @@ def slope_dp_optimized(s: AltWord, params: GroupParams) -> Matrix:
     _check_slope(s, params)
     if not s.theta:
         return []
-    r = r_llnf(params)
+    r, p, q = r_llnf(params), params.p, params.q
     rows = range(-r, r + 1)
     ell = len(s.theta)
     matrix: Matrix = []
 
     # round 1 from the integer table
-    words = _column_step(base_table(params), s.alpha[0], rows, params, r + params.q)
+    words = _column_step(base_table(params), s.alpha[0], rows, params, r + q)
     if ell == 1:
         matrix.append({rho: (words[rho], None) for rho in rows})
         return matrix
@@ -397,7 +398,7 @@ def slope_dp_optimized(s: AltWord, params: GroupParams) -> Matrix:
         pred: dict[int, int] = {}
         for rho in rows:
             best_key = None
-            for prev, gamma in _dp_candidates(beta_i, rho, params, r):
+            for prev, gamma in _dp_candidates(beta_i, rho, p, q, r):
                 stats.ops.tick()
                 cand = suffixes[prev] + "T" + _run(gamma)
                 key = (len(cand), ranks[prev], cand.translate(_LL_RANK))

@@ -21,7 +21,6 @@ returned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .britton import britton_reduce, is_britton_reduced
@@ -71,13 +70,17 @@ def all_words(length: int, what: str):
     return ("".join(w) for n in range(length + 1) for w in itertools.product(LETTERS, repeat=n))
 
 
-@dataclass(frozen=True)
 class BallIndex:
     """All elements within ``radius``: canonical form -> (length, llnf word)."""
 
-    params: GroupParams
-    radius: int
-    table: dict[AltWord, tuple[int, str]]
+    __slots__ = ("params", "radius", "table")
+
+    def __init__(
+        self, params: GroupParams, radius: int, table: dict[AltWord, tuple[int, str]]
+    ) -> None:
+        self.params = params
+        self.radius = radius
+        self.table = table
 
     def lookup(self, w: AltWord) -> tuple[int, str]:
         key = canonical_form(w, self.params)

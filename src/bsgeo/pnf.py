@@ -50,11 +50,11 @@ flattens it once and takes the norm from the flattened length, and one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import is_
-from typing import Callable
 
 from . import stats
 from .britton import Decomposition, decompose
@@ -76,8 +76,7 @@ from .words import AltWord, GroupParams, peak_key, sym_key
 __all__ = ["BrittonPnf", "make_britton_pnf", "flatten_pnf", "hill_pnf"]
 
 
-@dataclass(frozen=True)
-class BrittonPnf:
+class BrittonPnf(namedtuple("BrittonPnf", "word norm")):
     """A Britton peak normal form: the word and the geodesic length ``norm`` of its element.
 
     Its peak split u = u_1 alpha_i u_2 is ``words.peak_position(word)`` = i,
@@ -85,8 +84,7 @@ class BrittonPnf:
     reversed.
     """
 
-    word: AltWord
-    norm: int
+    __slots__ = ()
 
 
 def make_britton_pnf(word: AltWord, params: GroupParams, norm: int | None = None) -> BrittonPnf:

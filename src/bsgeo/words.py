@@ -18,13 +18,16 @@ sink/peak statistics, and the two orders used throughout:
                ordered by absolute value, and among +n/-n the non-negative
                one comes first
 
-All values are immutable and all functions are pure, so everything here is
-safe to use from multiple threads.
+``GroupParams`` and ``AltWord`` are immutable named tuples: they iterate,
+hash and compare equal like the plain tuple of their fields, so
+``hash(AltWord(a, t)) == hash((a, t))``.  All values are immutable and all
+functions are pure, so everything here is safe to use from multiple
+threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ExpansionLimit, LimitExceeded, ParseError
 
@@ -36,16 +39,15 @@ _LL_RANK = str.maketrans("tTaA", "0123")
 _INVOLUTE_LETTER = str.maketrans("tTaA", "TtAa")
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(namedtuple("GroupParams", "p q")):
     """The pair (p, q) with 1 <= p < q fixing the group BS(p, q)."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.p < self.q):
-            raise ValueError(f"require 1 <= p < q, got p={self.p}, q={self.q}")
+    def __new__(cls, p: int, q: int) -> GroupParams:
+        if not (1 <= p < q):
+            raise ValueError(f"require 1 <= p < q, got p={p}, q={q}")
+        return tuple.__new__(cls, (p, q))
 
     @property
     def divides(self) -> bool:
@@ -53,8 +55,7 @@ class GroupParams:
         return self.q % self.p == 0
 
 
-@dataclass(frozen=True)
-class AltWord:
+class AltWord(namedtuple("AltWord", "alpha theta")):
     """Alternating form alpha_0 theta_1 alpha_1 ... theta_k alpha_k.
 
     ``alpha`` has exactly one more entry than ``theta``; coefficients may be
@@ -62,14 +63,14 @@ class AltWord:
     directly usable as a dictionary key.
     """
 
-    alpha: tuple[int, ...] = (0,)
-    theta: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.alpha) != len(self.theta) + 1:
+    def __new__(cls, alpha: tuple[int, ...] = (0,), theta: str = "") -> AltWord:
+        if len(alpha) != len(theta) + 1:
             raise ValueError("alpha must have len(theta) + 1 entries")
-        if self.theta.strip("tT"):
+        if theta.strip("tT"):
             raise ValueError("theta may only contain t and T")
+        return tuple.__new__(cls, (alpha, theta))
 
     @property
     def k(self) -> int:
